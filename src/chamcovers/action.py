@@ -1,13 +1,23 @@
 """Closed-form actions of the lattice-surface symmetry letters on vectors.
 
 The two parabolic letters P1 and P2, the central letter -I, the hyperbolic
-letter H, and their inverses act on eventually periodic vectors entry by
-entry.  Each action here synthesizes the output directly as prefix + period:
-the output entries are affine in input entries and in the running sums
-S(t) = sum_{j=1..t} (-h_j + h_{-j}), and S gains a constant drift per input
-period, so the output is eventually periodic with period p * order(2 * drift)
-(p = lcm of the input period lengths).  A second full output window is checked
-against the first before the result is trusted.
+letter H = -P1*P2, and their inverses act on eventually periodic vectors entry
+by entry.  One kernel runs every letter and synthesizes the output directly as
+prefix + period: the output entries are affine in input entries and in the
+running sums S(t) = sum_{j=1..t} (-h_j + h_{-j}).  With L and R the left and
+right period words and p = lcm(|L|, |R|), S gains the constant drift
+delta = (p/|L|) * sum(L) - (p/|R|) * sum(R) over any p indexes past both
+prefixes, so the output of a letter that reads S has period p * order(2 * delta).
+A second full output window is checked against the first before the result is
+trusted.
+
+Only P1, P2, P2^-1 and H^n (n >= 1) have entry formulas.  With the reflection
+(R h)_k = h_{-k}, which swaps the left and right words,
+
+    P1^-1 = R P1 R    and    H^-n = R H^n R,
+
+and H, H^-1 are H^n at n = 1, -1.  P2^-1 keeps its own formula: it equals
+R H P2 H^-1 R, not a single reflection of P2.
 
 Words are comma-separated tokens P1, P2, -I, H with optional integer
 exponents (e.g. "P1^-2,H^3,P2"); the leftmost letter acts last.
@@ -180,37 +190,26 @@ def _tail_values(prefix, period, count: int) -> list[GroupElem]:
 
 
 class _Ctx:
-    """Entry and running-sum access for one input vector over a finite window."""
+    """Entries and running sums (sums[t] = S(t)) of one input over a window."""
 
     def __init__(self, h: EpVector, m: int):
-        self.h = h
         self.zero = h.group.zero()
         self.right = _tail_values(h.right_prefix, h.right_period, m)
         self.left = _tail_values(h.left_prefix, h.left_period, m)
         sums = [self.zero]
         for j in range(m):
             sums.append(sums[-1] + (self.left[j] - self.right[j]))
-        self.sums = sums  # sums[t] = S(t)
+        self.sums = sums
 
     def e(self, k: int) -> GroupElem:
         return self.right[k - 1] if k > 0 else self.left[-k - 1]
 
-    def s(self, t: int) -> GroupElem:
-        return self.sums[t]
-
 
 def _shape(h: EpVector) -> tuple[int, int]:
-    """(max prefix length, lcm of period lengths) of a normalized vector."""
+    """(max prefix length, lcm of period lengths) of a vector."""
     k0 = max(len(h.right_prefix), len(h.left_prefix))
     p = math.lcm(len(h.right_period), len(h.left_period))
     return k0, p
-
-
-def _drift_order(h: EpVector, k0: int, p: int) -> int:
-    """order(2 * delta) where delta is the S-increment over one period window."""
-    ctx = _Ctx(h, k0 + 2 * p + 1)
-    delta = ctx.s(k0 + 2 * p) - ctx.s(k0 + p)
-    return delta.scale(2).order()
 
 
 def _materialize(group: FinAbGroup, fn, k0: int, period: int) -> EpVector:
@@ -230,74 +229,110 @@ def _materialize(group: FinAbGroup, fn, k0: int, period: int) -> EpVector:
     return normalize(EpVector(group, rpre, rper, lpre, lper))
 
 
-def act_p1(h: EpVector) -> EpVector:
+def _act(h: EpVector, entries, grow: int, drifts: bool) -> EpVector:
+    """The kernel behind every letter: shape, one window, materialize.
+
+    `entries(ctx)` returns the output entry function k -> h'_k.  The output
+    prefix is at most `grow` longer than the input's, and an output entry
+    reads input entries at most `grow` indexes further out.  Letters that
+    read S (`drifts`) multiply the period by order(2 * delta).
+    """
     k0, p = _shape(h)
-    period = p * _drift_order(h, k0, p)
-    ctx = _Ctx(h, k0 + 2 + 2 * period + 1)
+    period = p
+    if drifts:
+        zero = h.group.zero()
+        left, right = sum(h.left_period, zero), sum(h.right_period, zero)
+        delta = left.scale(p // len(h.left_period)) - right.scale(
+            p // len(h.right_period)
+        )
+        period *= delta.scale(2).order()
+    k0 += grow
+    ctx = _Ctx(h, k0 + 2 * period + grow)
+    return _materialize(h.group, entries(ctx), k0, period)
+
+
+def _reflect(h: EpVector) -> EpVector:
+    """R: swap the left and right words, so (R h)_k = h_{-k}."""
+    return EpVector(
+        h.group, h.left_prefix, h.left_period, h.right_prefix, h.right_period
+    )
+
+
+def _p1_entries(ctx: _Ctx):
+    e, s = ctx.e, ctx.sums
+    return lambda k: e(-k) + s[k - 1 if k > 0 else -k].scale(2)
+
+
+def _p2_entries(ctx: _Ctx):
+    e, s = ctx.e, ctx.sums
 
     def fn(k: int) -> GroupElem:
-        if k >= 1:
-            return ctx.e(-k) + ctx.s(k - 1).scale(2)
-        kk = -k
-        return ctx.e(kk) + ctx.s(kk).scale(2)
+        if k == -1:
+            return e(-1)
+        a = abs(k)
+        return e(-1) + e(-k - 1) + e(-a).scale(2) + s[a - 1].scale(2)
 
-    return _materialize(h.group, fn, k0 + 2, period)
+    return fn
+
+
+def _p2_inv_entries(ctx: _Ctx):
+    e, s = ctx.e, ctx.sums
+
+    def fn(k: int) -> GroupElem:
+        if k == -1:
+            return e(-1)
+        return s[k if k > 0 else -k - 1].scale(-2) - e(-1) - e(-k - 1)
+
+    return fn
+
+
+def _h_pow_entries(ctx: _Ctx, n: int):
+    """H^n for n >= 1: h'_k = h_{k-n} + c outside 1..n, c = sum 2^(n-j) h_{-j}.
+
+    The head h'_k = c - 2 h_{k-n-1} - T_k (1 <= k <= n) uses the running term
+    T_n = 0, T_{k-1} = 2 T_k + 3 h_{k-n-1}; c is summed by Horner.
+    """
+    e = ctx.e
+    c = ctx.zero
+    for j in range(1, n + 1):
+        c = c.scale(2) + e(-j)
+    head = [ctx.zero] * n
+    t = ctx.zero
+    for k in range(n, 0, -1):
+        x = e(k - n - 1)
+        head[k - 1] = c - x.scale(2) - t
+        t = t.scale(2) + x.scale(3)
+
+    def fn(k: int) -> GroupElem:
+        if 1 <= k <= n:
+            return head[k - 1]
+        return e(k - n) + c
+
+    return fn
+
+
+def _h_pow(h: EpVector, n: int) -> EpVector:
+    if n == 0:
+        return normalize(h)
+    if n < 0:
+        return _reflect(_h_pow(_reflect(h), -n))
+    return _act(h, lambda ctx: _h_pow_entries(ctx, n), n + 2, False)
+
+
+def act_p1(h: EpVector) -> EpVector:
+    return _act(h, _p1_entries, 2, True)
 
 
 def act_p1_inv(h: EpVector) -> EpVector:
-    k0, p = _shape(h)
-    period = p * _drift_order(h, k0, p)
-    ctx = _Ctx(h, k0 + 2 + 2 * period + 1)
-
-    def fn(k: int) -> GroupElem:
-        if k >= 1:
-            return ctx.e(k).scale(2) - ctx.e(-k) + ctx.s(k - 1).scale(-2)
-        kk = -k
-        return ctx.e(kk) + ctx.s(kk - 1).scale(-2)
-
-    return _materialize(h.group, fn, k0 + 2, period)
+    return _reflect(_act(_reflect(h), _p1_entries, 2, True))
 
 
 def act_p2(h: EpVector) -> EpVector:
-    k0, p = _shape(h)
-    period = p * _drift_order(h, k0, p)
-    ctx = _Ctx(h, k0 + 2 + 2 * period + 2)
-
-    def fn(k: int) -> GroupElem:
-        if k >= 1:
-            return (
-                ctx.e(-1)
-                + ctx.e(-k - 1)
-                + ctx.e(-k).scale(2)
-                + ctx.s(k - 1).scale(2)
-            )
-        if k == -1:
-            return ctx.e(-1)
-        kk = -k
-        return (
-            ctx.e(-1)
-            + ctx.e(kk - 1)
-            + ctx.e(-kk).scale(2)
-            + ctx.s(kk - 1).scale(2)
-        )
-
-    return _materialize(h.group, fn, k0 + 2, period)
+    return _act(h, _p2_entries, 2, True)
 
 
 def act_p2_inv(h: EpVector) -> EpVector:
-    k0, p = _shape(h)
-    period = p * _drift_order(h, k0, p)
-    ctx = _Ctx(h, k0 + 2 + 2 * period + 2)
-
-    def fn(k: int) -> GroupElem:
-        if k >= 1:
-            return ctx.s(k).scale(-2) - ctx.e(-1) - ctx.e(-k - 1)
-        if k == -1:
-            return ctx.e(-1)
-        kk = -k
-        return ctx.s(kk - 1).scale(-2) - ctx.e(kk - 1) - ctx.e(-1)
-
-    return _materialize(h.group, fn, k0 + 2, period)
+    return _act(h, _p2_inv_entries, 2, True)
 
 
 def act_neg(h: EpVector) -> EpVector:
@@ -314,53 +349,16 @@ def act_neg(h: EpVector) -> EpVector:
 
 
 def act_h(h: EpVector) -> EpVector:
-    k0, p = _shape(h)
-    ctx = _Ctx(h, k0 + 3 + 2 * p + 1)
-
-    def fn(k: int) -> GroupElem:
-        if k == 1:
-            return -ctx.e(-1)
-        return ctx.e(k - 1) + ctx.e(-1)
-
-    return _materialize(h.group, fn, k0 + 3, p)
+    return _h_pow(h, 1)
 
 
 def act_h_inv(h: EpVector) -> EpVector:
-    k0, p = _shape(h)
-    ctx = _Ctx(h, k0 + 3 + 2 * p + 1)
-
-    def fn(k: int) -> GroupElem:
-        if k == -1:
-            return -ctx.e(1)
-        return ctx.e(k + 1) + ctx.e(1)
-
-    return _materialize(h.group, fn, k0 + 3, p)
+    return _h_pow(h, -1)
 
 
 def act_h_pow(h: EpVector, n: int) -> EpVector:
     """The n-th power of the hyperbolic letter in one pass (any integer n)."""
-    if n == 0:
-        return normalize(h)
-    if n < 0:
-        out = h
-        for _ in range(-n):
-            out = act_h_inv(out)
-        return out
-    k0, p = _shape(h)
-    ctx = _Ctx(h, k0 + n + 2 + 2 * p + n + 1)
-    c = ctx.zero
-    for j in range(1, n + 1):
-        c = c + ctx.e(-j).scale(2 ** (n - j))
-
-    def fn(k: int) -> GroupElem:
-        if 1 <= k <= n:
-            acc = c - ctx.e(-n + k - 1).scale(2)
-            for j in range(1, n - k + 1):
-                acc = acc - ctx.e(-j).scale(3 * 2 ** (n - k - j))
-            return acc
-        return ctx.e(k - n) + c
-
-    return _materialize(h.group, fn, k0 + n + 2, p)
+    return _h_pow(h, n)
 
 
 def act_letter(h: EpVector, letter: GeneratorLetter) -> EpVector:

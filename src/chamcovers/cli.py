@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -93,6 +94,12 @@ def _load_cached_report(path: Path):
         report = json.loads(path.read_text())
         if not isinstance(report, dict) or not _REPORT_KEYS <= set(report):
             raise ValueError("missing keys")
+        order = report["order"]
+        if not isinstance(order, int) or any(
+            not isinstance(report[k], list) or len(report[k]) != order
+            for k in ("vertices", "p1_edges", "p2_edges")
+        ):
+            raise ValueError("vertex or edge arrays do not match the order")
         return report
     except (ValueError, OSError) as exc:
         print(f"warning: ignoring corrupted cache entry {path}: {exc}", file=sys.stderr)
@@ -131,7 +138,8 @@ def _cmd_orbit(args) -> int:
     if args.cache is not None:
         cache_file = _cache_path(args.cache, group.spec(), canonical)
         report = _load_cached_report(cache_file)
-        if report is not None:
+        # An orbit larger than the cap gets the verdict of a fresh search.
+        if report is not None and report["order"] <= args.cap:
             _render_orbit(report, args.format)
             return 0
     graph = orbit_bfs(h, cap=args.cap)
@@ -143,8 +151,11 @@ def _cmd_orbit(args) -> int:
         return 2
     report = orbit_report(graph)
     if cache_file is not None:
+        # Write through a temp file so no reader ever sees a partial entry.
         cache_file.parent.mkdir(parents=True, exist_ok=True)
-        cache_file.write_text(json.dumps(report, separators=(",", ":")))
+        tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
+        tmp.write_text(_json(report))
+        os.replace(tmp, cache_file)
     _render_orbit(report, args.format)
     return 0
 
@@ -264,8 +275,7 @@ def _build_parser() -> _Parser:
     add("counts", _cmd_counts, n=True)
     add("topology", _cmd_topology, group=True, vector=True)
     add("construct-ends", _cmd_construct_ends, group=True)
-    rank_p = add("realize-rank", _cmd_realize_rank)
-    rank_p.add_argument("--n", type=int, required=True)
+    add("realize-rank", _cmd_realize_rank, n=True)
     return parser
 
 

@@ -20,6 +20,7 @@ from .action import (
     act_p1_inv,
     act_p2,
     act_p2_inv,
+    simplify_word,
 )
 from .finite_index import decide_finite_index
 from .vectors import EpVector, VectorClass, canonical_class, format_vector
@@ -134,7 +135,10 @@ def _inverse_perm(perm: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _classify(graph: SchreierGraph) -> tuple[GraphType, str | None]:
+def classify_with_reason(graph: SchreierGraph) -> tuple[GraphType, str | None]:
+    """Striezel, Kranz or Other, with the diagnostic for Other verdicts."""
+    if not graph.complete:
+        raise ValueError("cannot classify a truncated orbit graph")
     n = graph.order
     p1, p2 = graph.p1_edges, graph.p2_edges
     for perm, name in ((p1, "P1"), (p2, "P2")):
@@ -193,35 +197,10 @@ def classify_type(graph: SchreierGraph) -> GraphType:
 
     Requires a complete graph over a two-element group.
     """
-    if not graph.complete:
-        raise ValueError("cannot classify a truncated orbit graph")
     if graph.vertices and graph.vertices[0].group.order != 2:
         raise ValueError("graph classification applies to two-element groups only")
-    kind, _ = _classify(graph)
+    kind, _ = classify_with_reason(graph)
     return kind
-
-
-def classify_with_reason(graph: SchreierGraph) -> tuple[GraphType, str | None]:
-    """Like classify_type but returning the diagnostic for Other verdicts."""
-    if not graph.complete:
-        raise ValueError("cannot classify a truncated orbit graph")
-    kind, reason = _classify(graph)
-    return kind, reason
-
-
-def _free_reduce(letters) -> tuple:
-    stack: list[tuple[GeneratorLetter, int]] = []
-    for ltr, exp in letters:
-        if exp == 0:
-            continue
-        if stack and stack[-1][0] == ltr:
-            merged = stack[-1][1] + exp
-            stack.pop()
-            if merged != 0:
-                stack.append((ltr, merged))
-        else:
-            stack.append((ltr, exp))
-    return tuple(stack)
 
 
 def stabilizer_generators(graph: SchreierGraph) -> tuple[Word, ...]:
@@ -255,9 +234,9 @@ def stabilizer_generators(graph: SchreierGraph) -> tuple[Word, ...]:
         for ltr, perm in ((GeneratorLetter.P1, p1), (GeneratorLetter.P2, p2)):
             w = perm[v]
             inverse_tw = tuple((l, -e) for l, e in reversed(transversal[w]))
-            reduced = _free_reduce(inverse_tw + ((ltr, 1),) + transversal[v])
-            if reduced:
-                gens.append(Word(reduced))
+            reduced = simplify_word(inverse_tw + ((ltr, 1),) + transversal[v])
+            if reduced.letters:
+                gens.append(reduced)
     return tuple(gens)
 
 

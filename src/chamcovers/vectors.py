@@ -114,11 +114,12 @@ def generates(h: EpVector) -> bool:
 def is_periodic(h: EpVector) -> int | None:
     """Least p with h_{k+p} = h_k for every integer k, or None.
 
-    Requires h normalized.  Full bi-infinite periodicity forces both prefixes
+    Full bi-infinite periodicity forces both prefixes of the normalized form
     to be empty; the only extra obstruction is the seam at zero (the shift by
     p must also map left entries onto right entries and h_{-p..} across h_0),
     which one window check around the origin decides.
     """
+    h = normalize(h)
     if h.right_prefix or h.left_prefix:
         return None
     p = math.lcm(len(h.right_period), len(h.left_period))

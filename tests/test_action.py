@@ -76,7 +76,7 @@ def test_h_pow_matches_window_oracle():
     for group in GROUPS:
         for _ in range(10):
             h = random_vector(group, rng)
-            for n in (1, 2, 3, 5):
+            for n in (1, 2, 3, 5, 12, 40):
                 out = act_h_pow(h, n)
                 assert entries_agree(out, lambda k: oracle_h_pow(h, n, k))
 
@@ -153,10 +153,12 @@ def test_h_pow_equals_iteration():
     for group in GROUPS:
         for _ in range(8):
             h = random_vector(group, rng)
-            out = h
+            out = back = h
             for n in range(1, 6):
                 out = act_h(out)
+                back = act_h_inv(back)
                 assert act_h_pow(h, n) == out
+                assert act_h_pow(h, -n) == back
             assert act_h_pow(h, 0) == h
             assert act_h_pow(act_h_pow(h, 3), -3) == h
 

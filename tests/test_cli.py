@@ -121,17 +121,31 @@ def test_orbit_cache_roundtrip(tmp_path):
 
 def test_orbit_cache_corrupted_entry(tmp_path):
     cache = str(tmp_path / "cache")
-    args = ("orbit", "--group", "Z2", "--vector", FOURP, "--format", "json",
-            "--cache", cache)
+    args = ("orbit", "--group", "Z2", "--vector", FOURP, "--cache", cache)
     first = run_cli(*args)
     (entry,) = (tmp_path / "cache").glob("*.json")
-    entry.write_text("{not json")
-    again = run_cli(*args)
-    assert again.returncode == 0
-    assert again.stdout == first.stdout
-    assert "corrupted cache" in again.stderr
-    # The recomputed report replaced the bad entry.
-    assert json.loads(entry.read_text())["order"] == 2
+    good = entry.read_text()
+    report = json.loads(good)
+    truncated = json.dumps(dict(report, p1_edges=report["p1_edges"][:1]))
+    for bad in ("{not json", truncated):
+        entry.write_text(bad)
+        again = run_cli(*args)
+        assert again.returncode == 0
+        assert again.stdout == first.stdout
+        assert "corrupted cache" in again.stderr
+        # The recomputed report replaced the bad entry.
+        assert entry.read_text() == good
+
+
+def test_orbit_cache_hit_obeys_cap(tmp_path):
+    cache = str(tmp_path / "cache")
+    args = ("orbit", "--group", "Z2", "--vector", FOURP, "--cache", cache)
+    cold = run_cli(*args, "--cap", "1")
+    assert cold.returncode == 2
+    assert run_cli(*args).returncode == 0
+    warm = run_cli(*args, "--cap", "1")
+    assert (warm.returncode, warm.stdout, warm.stderr) == (2, "", cold.stderr)
+    assert run_cli(*args, "--cap", "2").returncode == 0
 
 
 def test_orbit_cap_exhausted_exit_code():

@@ -153,6 +153,9 @@ def test_format_parse_round_trip_random(data):
 
 def test_is_periodic_parity_vector():
     assert is_periodic(z2v("L=(1,0);R=(1,0)")) == 2
+    # The same vector spelled with a prefix that normalization absorbs.
+    one, zero = Z2.elem(1), Z2.elem(0)
+    assert is_periodic(EpVector(Z2, (one,), (zero, one), (), (one, zero))) == 2
 
 
 def test_is_periodic_four_periodic_example():
