@@ -3,12 +3,14 @@ lattice surface: symmetry-letter actions on eventually periodic vectors,
 finite-index decisions, coset graphs, degree-two censuses, and end counts."""
 
 from .groups import (
+    MAX_AUTOMORPHISMS,
     AutomorphismBoundError,
     Automorphism,
     FinAbGroup,
     GroupElem,
     GroupParseError,
     Subgroup,
+    automorphism_count,
     automorphisms,
     parse_elem,
     parse_group,
@@ -28,6 +30,7 @@ from .vectors import (
     parse_vector,
 )
 from .action import (
+    MAX_WORD_EXPONENT,
     GeneratorLetter,
     Mat2Q,
     Word,

@@ -20,7 +20,8 @@ and H, H^-1 are H^n at n = 1, -1.  P2^-1 keeps its own formula: it equals
 R H P2 H^-1 R, not a single reflection of P2.
 
 Words are comma-separated tokens P1, P2, -I, H with optional integer
-exponents (e.g. "P1^-2,H^3,P2"); the leftmost letter acts last.
+exponents (e.g. "P1^-2,H^3,P2"); the leftmost letter acts last.  A parsed
+word's exponents may sum to at most MAX_WORD_EXPONENT in absolute value.
 """
 
 from __future__ import annotations
@@ -97,6 +98,11 @@ def simplify_word(letters) -> Word:
 
 _WORD_TOKEN_RE = re.compile(r"(P1|P2|-I|H)(?:\^(-?[0-9]+))?")
 
+# Largest total |exponent| of a parsed word (after merging adjacent runs).
+# P1^k runs as k letter steps and H^k builds windows of about 2k entries, so
+# a longer word asks for unbounded work and is refused.
+MAX_WORD_EXPONENT = 10_000
+
 
 def parse_word(text: str) -> Word:
     """Parse a word like "P1^-2,H^3,P2". The empty string is the identity."""
@@ -114,8 +120,19 @@ def parse_word(text: str) -> Word:
             "-I": GeneratorLetter.NEG_ID,
             "H": GeneratorLetter.H,
         }[name]
-        letters.append((ltr, 1 if exp_txt is None else int(exp_txt)))
-    return simplify_word(letters)
+        try:
+            letters.append((ltr, 1 if exp_txt is None else int(exp_txt)))
+        except ValueError as exc:  # more digits than int() converts
+            raise WordParseError(
+                f"exponent of {name} has {len(exp_txt)} digits"
+            ) from exc
+    word = simplify_word(letters)
+    total = sum(abs(exp) for _, exp in word.letters)
+    if total > MAX_WORD_EXPONENT:
+        raise WordParseError(
+            f"word exponents sum to {total}, more than the bound {MAX_WORD_EXPONENT}"
+        )
+    return word
 
 
 def format_word(w: Word) -> str:

@@ -17,7 +17,7 @@ from pathlib import Path
 from .action import WordParseError, act_word, parse_word
 from .degree2 import enumerate_wn, enumerate_wn_star, count_closed_forms, orbit_census, realize_rank
 from .finite_index import decide_finite_index
-from .groups import GroupParseError, parse_group
+from .groups import AutomorphismBoundError, GroupParseError, parse_group
 from .orbit import (
     dot_from_report,
     orbit_bfs,
@@ -79,8 +79,15 @@ def _cmd_index(args) -> int:
     return 0
 
 
+# Part of every cache key: the report layout and the canonical form of the
+# class that names the entry (least key() over normalized automorphism
+# images).  Change it whenever either changes, so old entries are not reused.
+_CACHE_VERSION = "orbit-report 1; canonical lexmin-aut-image 1"
+
+
 def _cache_path(cache_dir: str, group_spec: str, canonical: str) -> Path:
-    key = hashlib.sha256(f"{group_spec}\n{canonical}".encode()).hexdigest()
+    text = f"{_CACHE_VERSION}\n{group_spec}\n{canonical}"
+    key = hashlib.sha256(text.encode()).hexdigest()
     return Path(cache_dir) / f"{key}.json"
 
 
@@ -100,6 +107,14 @@ def _load_cached_report(path: Path):
             for k in ("vertices", "p1_edges", "p2_edges")
         ):
             raise ValueError("vertex or edge arrays do not match the order")
+        if any(not isinstance(v, str) for v in report["vertices"]):
+            raise ValueError("vertex labels are not strings")
+        if any(
+            type(j) is not int or not 0 <= j < order
+            for k in ("p1_edges", "p2_edges")
+            for j in report[k]
+        ):
+            raise ValueError("edge targets are not vertex numbers")
         return report
     except (ValueError, OSError) as exc:
         print(f"warning: ignoring corrupted cache entry {path}: {exc}", file=sys.stderr)
@@ -124,6 +139,8 @@ def _render_orbit(report: dict, fmt: str) -> None:
 
 
 def _cmd_orbit(args) -> int:
+    if args.cap < 1:
+        raise CliUsageError("cap must be >= 1")
     group = parse_group(args.group)
     h = parse_vector(group, args.vector)
     verdict = decide_finite_index(h)
@@ -287,7 +304,13 @@ def main(argv=None) -> int:
     except CliUsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (GroupParseError, VectorParseError, WordParseError, ValueError) as exc:
+    except (
+        AutomorphismBoundError,
+        GroupParseError,
+        VectorParseError,
+        WordParseError,
+        ValueError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

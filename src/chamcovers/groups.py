@@ -11,7 +11,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cache, reduce
 
 
 class GroupParseError(ValueError):
@@ -189,43 +189,85 @@ class Subgroup:
 
 
 def span(group: FinAbGroup, gens=()) -> Subgroup:
-    """The subgroup generated by gens (the trivial subgroup for empty gens)."""
+    """The subgroup generated by gens (the trivial subgroup for empty gens).
+
+    The closure runs on residue tuples and stops as soon as it holds every
+    element of the group.
+    """
     gens = tuple(gens)
     for g in gens:
-        if g.group != group:
+        if g.group is not group and g.group != group:
             raise ValueError("generator lives in a different group")
-    elems = {group.zero()}
-    frontier = [group.zero()]
+    moduli = group.moduli
+    zero = (0,) * len(moduli)
+    steps = {g.residues for g in gens} - {zero}
+    elems = _close(moduli, steps, group.order)
+    return Subgroup(group, frozenset(GroupElem(group, r) for r in elems), gens)
+
+
+def _close(moduli: tuple[int, ...], steps: set, order: int) -> set:
+    """Residue tuples reachable from zero by adding steps; stops at order many."""
+    zero = (0,) * len(moduli)
+    elems = {zero}
+    frontier = [zero]
     while frontier:
         nxt = []
         for a in frontier:
-            for g in gens:
-                b = a + g
+            for s in steps:
+                b = tuple([(x + y) % n for x, y, n in zip(a, s, moduli)])
                 if b not in elems:
                     elems.add(b)
+                    if len(elems) == order:
+                        return elems
                     nxt.append(b)
         frontier = nxt
-    return Subgroup(group, frozenset(elems), gens)
+    return elems
+
+
+@cache
+def element_index(group: FinAbGroup):
+    """The elements in lexicographic residue order, and each one's position.
+
+    A position ("code") orders like its residue tuple, so comparing codes
+    compares elements in the order `EpVector.key` uses.
+    """
+    elems = tuple(group.elements())
+    return elems, {e.residues: i for i, e in enumerate(elems)}
 
 
 class Automorphism:
-    """An additive bijection of a FinAbGroup, tabulated for fast application."""
+    """An additive bijection of a FinAbGroup, tabulated for fast application.
 
-    __slots__ = ("group", "images", "_table")
+    codes[i] is the code (see `element_index`) of the image of the element
+    with code i.
+    """
+
+    __slots__ = ("group", "images", "codes", "_elems", "_index")
 
     def __init__(self, group: FinAbGroup, images: tuple[GroupElem, ...]):
         self.group = group
         self.images = images
-        table = {}
-        for a in group.elements():
-            acc = group.zero()
-            for r, img in zip(a.residues, images):
-                acc = acc + img.scale(r)
-            table[a.residues] = acc
-        self._table = table
+        elems, index = element_index(group)
+        moduli = group.moduli
+        # Images of all elements in code order: fold in one factor at a time,
+        # adding r * image_i (mod each n_j) for r = 0 .. n_i - 1.
+        table = [(0,) * len(moduli)]
+        for img, n in zip(images, moduli):
+            multiples = [
+                tuple([r * x % m for x, m in zip(img.residues, moduli)])
+                for r in range(n)
+            ]
+            table = [
+                tuple([(x + y) % m for x, y, m in zip(acc, step, moduli)])
+                for acc in table
+                for step in multiples
+            ]
+        self.codes = tuple(index[b] for b in table)
+        self._elems = elems
+        self._index = index
 
     def __call__(self, a: GroupElem) -> GroupElem:
-        return self._table[a.residues]
+        return self._elems[self.codes[self._index[a.residues]]]
 
     def __eq__(self, other) -> bool:
         return (
@@ -245,24 +287,72 @@ class Automorphism:
 # safe to publish once computed.
 _AUT_CACHE: dict[tuple[int, ...], tuple[Automorphism, ...]] = {}
 
+# Largest automorphism group that `automorphisms` enumerates: |Aut(Z2^4)|.
+MAX_AUTOMORPHISMS = 20160
 
-def _extend_span(group: FinAbGroup, base: frozenset, g: GroupElem) -> frozenset:
-    """Elements of <base u {g}> when base is already a subgroup."""
-    out = set()
-    step = group.zero()
-    for _ in range(g.order()):
+
+def _prime_powers(n: int):
+    """(p, e) for each prime power p^e exactly dividing n."""
+    p = 2
+    while p * p <= n:
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        if e:
+            yield p, e
+        p += 1
+    if n > 1:
+        yield n, 1
+
+
+def automorphism_count(group: FinAbGroup) -> int:
+    """|Aut(G)| in closed form, without enumerating anything.
+
+    G is the product of its p-parts, and so is Aut(G).  For a p-part
+    Z_{p^e_1} x ... x Z_{p^e_k} with e_1 <= ... <= e_k, put
+    d_i = max{l : e_l = e_i} and c_i = min{l : e_l = e_i}; then (Hillar and
+    Rhea, "Automorphisms of finite abelian groups", 2007)
+
+        |Aut| = prod_i (p^d_i - p^(i-1))
+                     * p^(e_i (k - d_i)) * p^((e_i - 1)(k - c_i + 1)).
+    """
+    exponents: dict[int, list[int]] = {}
+    for n in group.moduli:
+        for p, e in _prime_powers(n):
+            exponents.setdefault(p, []).append(e)
+    count = 1
+    for p, es in exponents.items():
+        es.sort()
+        k = len(es)
+        for i, e in enumerate(es, start=1):
+            d = k - es[::-1].index(e)
+            c = es.index(e) + 1
+            count *= p**d - p ** (i - 1)
+            count *= p ** (e * (k - d) + (e - 1) * (k - c + 1))
+    return count
+
+
+def _extend_span(moduli: tuple[int, ...], base: frozenset, g: tuple) -> frozenset:
+    """Residue tuples of <base u {g}> when base is already a subgroup."""
+    out = set(base)
+    step = g
+    while step not in base:
         for b in base:
-            out.add(b + step)
-        step = step + g
+            out.add(tuple([(x + y) % n for x, y, n in zip(b, step, moduli)]))
+        step = tuple([(x + y) % n for x, y, n in zip(step, g, moduli)])
     return frozenset(out)
 
 
 def automorphisms(group: FinAbGroup, max_order: int = 64) -> tuple[Automorphism, ...]:
     """All automorphisms of the group, in a deterministic order.
 
-    Candidates send each factor generator to an element of the same exact
-    order; partial choices are pruned unless the chosen images span a subgroup
-    of full expected size, which forces injectivity level by level.
+    Groups of order above max_order, or with more than MAX_AUTOMORPHISMS
+    automorphisms (counted in closed form first), are refused with
+    AutomorphismBoundError.  Candidates send each factor generator to an
+    element of the same exact order; partial choices are pruned unless the
+    chosen images span a subgroup of full expected size, which forces
+    injectivity level by level.
     """
     cached = _AUT_CACHE.get(group.moduli)
     if cached is not None:
@@ -271,26 +361,32 @@ def automorphisms(group: FinAbGroup, max_order: int = 64) -> tuple[Automorphism,
         raise AutomorphismBoundError(
             f"group order {group.order} exceeds the automorphism bound {max_order}"
         )
-    candidates = []
-    for n in group.moduli:
-        candidates.append([x for x in group.elements() if x.order() == n])
+    count = automorphism_count(group)
+    if count > MAX_AUTOMORPHISMS:
+        raise AutomorphismBoundError(
+            f"{group} has {count} automorphisms, "
+            f"more than the bound {MAX_AUTOMORPHISMS}"
+        )
+    moduli = group.moduli
+    elems, _ = element_index(group)
+    candidates = [[x for x in elems if x.order() == n] for n in moduli]
     found: list[Automorphism] = []
     images: list[GroupElem] = []
 
     def rec(i: int, spanned: frozenset) -> None:
-        if i == len(group.moduli):
+        if i == len(moduli):
             found.append(Automorphism(group, tuple(images)))
             return
-        expected = math.prod(group.moduli[: i + 1])
+        expected = math.prod(moduli[: i + 1])
         for x in candidates[i]:
-            grown = _extend_span(group, spanned, x)
+            grown = _extend_span(moduli, spanned, x.residues)
             if len(grown) != expected:
                 continue
             images.append(x)
             rec(i + 1, grown)
             images.pop()
 
-    rec(0, frozenset({group.zero()}))
+    rec(0, frozenset({(0,) * len(moduli)}))
     result = tuple(found)
-    _AUT_CACHE.setdefault(group.moduli, result)
+    _AUT_CACHE.setdefault(moduli, result)
     return result

@@ -18,7 +18,14 @@ import math
 import re
 from dataclasses import dataclass
 
-from .groups import FinAbGroup, GroupElem, automorphisms, parse_elem, span
+from .groups import (
+    FinAbGroup,
+    GroupElem,
+    automorphisms,
+    element_index,
+    parse_elem,
+    span,
+)
 
 
 class VectorParseError(ValueError):
@@ -108,7 +115,7 @@ def normalize(h: EpVector) -> EpVector:
 
 def generates(h: EpVector) -> bool:
     """Do the letters of h generate the whole group?"""
-    return span(h.group, set(h.letters())).index == 1
+    return span(h.group, h.letters()).index == 1
 
 
 def is_periodic(h: EpVector) -> int | None:
@@ -160,17 +167,36 @@ class VectorClass:
 
 
 def canonical_class(h: EpVector) -> VectorClass:
-    """The automorphism class of h (requires generating letters)."""
+    """The automorphism class of h (requires generating letters).
+
+    The representative is the least `key()` among the normalized images
+    normalize(phi(h)) over all automorphisms phi.  A letterwise automorphism
+    is a bijection on letters, so it preserves which letters are equal: it
+    commutes with `normalize`, and every image of the normalized input has
+    the same four word lengths.  Comparing keys is then comparing the
+    flattened letter sequences (right prefix, right period, left prefix,
+    left period) lexicographically, so the minimum is found letter by
+    letter: keep the automorphisms whose image of the next letter is least,
+    until one is left.  Automorphisms that tie on every letter give the same
+    image.  Letters already seen (and zero, which every automorphism fixes)
+    cannot split the survivors and are skipped.
+    """
     if not generates(h):
         raise ValueError("vector letters do not generate the group")
-    best = None
-    best_key = None
-    for phi in automorphisms(h.group):
-        img = normalize(apply_aut(phi, h))
-        k = img.key()
-        if best_key is None or k < best_key:
-            best, best_key = img, k
-    return VectorClass(best)
+    survivors = automorphisms(h.group)
+    h = normalize(h)
+    _, index = element_index(h.group)
+    codes = [index[e.residues] for e in h.letters()]
+    seen = {0}
+    for c in codes:
+        if len(survivors) == 1:
+            break
+        if c in seen:
+            continue
+        seen.add(c)
+        least = min(phi.codes[c] for phi in survivors)
+        survivors = [phi for phi in survivors if phi.codes[c] == least]
+    return VectorClass(apply_aut(survivors[0], h))
 
 
 _TAIL_RE = re.compile(r"([0-9:,]*)(\|?)\(([0-9:,]*)\)")

@@ -13,6 +13,9 @@ from chamcovers import (
     EpVector,
     FinAbGroup,
     GroupElem,
+    VectorClass,
+    apply_aut,
+    automorphisms,
     generates,
     normalize,
 )
@@ -151,3 +154,32 @@ def h_pow_fixed(group: FinAbGroup, params: tuple[GroupElem, ...]) -> EpVector:
     while len(right) < reps:
         right.append(right[-n] + c)
     return normalize(EpVector(group, (), tuple(right), (), tuple(left)))
+
+
+def oracle_canonical_class(h: EpVector) -> VectorClass:
+    """The least key() over every normalized automorphism image, by brute force."""
+    images = (normalize(apply_aut(phi, h)) for phi in automorphisms(h.group))
+    return VectorClass(min(images, key=EpVector.key))
+
+
+def oracle_span_order(group: FinAbGroup, gens) -> int:
+    """Order of the subgroup generated by gens, closed with GroupElem arithmetic."""
+    elems = {group.zero()}
+    frontier = [group.zero()]
+    while frontier:
+        frontier = [a + g for a in frontier for g in gens if a + g not in elems]
+        elems.update(frontier)
+    return len(elems)
+
+
+def raw_vector(group: FinAbGroup, rng: random.Random) -> EpVector:
+    """A seeded random vector, often not normalized: periods may repeat and
+    prefixes may end in letters the period would absorb."""
+    elems = list(group.elements())
+    word = lambda lo, hi: tuple(rng.choice(elems) for _ in range(rng.randint(lo, hi)))
+    rper, lper = word(1, 3), word(1, 3)
+    rpre = word(0, 2) + (rper[-1:] if rng.random() < 0.3 else ())
+    lpre = word(0, 2) + (lper[-1:] if rng.random() < 0.3 else ())
+    if rng.random() < 0.3:
+        rper = rper * 2
+    return EpVector(group, rpre, rper, lpre, lper)

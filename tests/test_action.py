@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chamcovers import (
+    MAX_WORD_EXPONENT,
     GeneratorLetter,
     Word,
     WordParseError,
@@ -228,6 +229,19 @@ def test_parse_word_simplifies():
 def test_parse_word_rejects(bad):
     with pytest.raises(WordParseError):
         parse_word(bad)
+
+
+def test_parse_word_bounds_total_exponent():
+    assert parse_word(f"P1^{MAX_WORD_EXPONENT}").letters == (
+        (GeneratorLetter.P1, MAX_WORD_EXPONENT),
+    )
+    assert parse_word("P1^6000,P1^-6000").letters == ()
+    # The bound applies after merging, so a split spelling is refused too.
+    for text in ("P1^1000000000", "P1^6000,P1^6000", f"H^-{MAX_WORD_EXPONENT + 1}"):
+        with pytest.raises(WordParseError, match="bound"):
+            parse_word(text)
+    with pytest.raises(WordParseError, match="digits"):
+        parse_word("P1^" + "1" * 5000)
 
 
 def test_word_inverse_round_trip():

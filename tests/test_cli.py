@@ -127,7 +127,8 @@ def test_orbit_cache_corrupted_entry(tmp_path):
     good = entry.read_text()
     report = json.loads(good)
     truncated = json.dumps(dict(report, p1_edges=report["p1_edges"][:1]))
-    for bad in ("{not json", truncated):
+    mistyped = json.dumps(dict(report, p1_edges=["x", 7]))
+    for bad in ("{not json", truncated, mistyped):
         entry.write_text(bad)
         again = run_cli(*args)
         assert again.returncode == 0
@@ -146,6 +147,30 @@ def test_orbit_cache_hit_obeys_cap(tmp_path):
     warm = run_cli(*args, "--cap", "1")
     assert (warm.returncode, warm.stdout, warm.stderr) == (2, "", cold.stderr)
     assert run_cli(*args, "--cap", "2").returncode == 0
+
+
+def test_orbit_cap_checked_before_finite_index_decision():
+    # One finite-index and one infinite-index vector: both are refused.
+    for group, vector in (("Z2", FOURP), ("Z3", "L=(0);R=1|(0)")):
+        r = run_cli("orbit", "--group", group, "--vector", vector, "--cap", "0")
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr == "error: cap must be >= 1\n"
+
+
+def test_automorphism_bound_exits_one():
+    # A finite-index vector over Z67: the orbit needs Aut(Z67), which the
+    # order bound of the automorphism enumeration refuses.
+    r = run_cli("orbit", "--group", "Z67", "--vector", "L=(1,65);R=(1,65)")
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr.startswith("error: ")
+    assert "Traceback" not in r.stderr
+
+
+def test_act_word_bound_exits_one():
+    for word in ("P1^1000000000", "P1^6000,P1^6000"):
+        r = run_cli("act", "--group", "Z2", "--word", word, "--vector", PARITY)
+        assert (r.returncode, r.stdout) == (1, "")
+        assert r.stderr.startswith("error: ") and "bound" in r.stderr
 
 
 def test_orbit_cap_exhausted_exit_code():

@@ -1,16 +1,22 @@
 import itertools
+import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from chamcovers import (
+    MAX_AUTOMORPHISMS,
     AutomorphismBoundError,
+    FinAbGroup,
     GroupParseError,
+    automorphism_count,
     automorphisms,
     parse_elem,
     parse_group,
     span,
 )
+from conftest import oracle_span_order
 
 Z2 = parse_group("Z2")
 Z3 = parse_group("Z3")
@@ -141,3 +147,58 @@ def test_automorphisms_cached_and_bounded():
     assert automorphisms(Z4) is automorphisms(Z4)
     with pytest.raises(AutomorphismBoundError):
         automorphisms(parse_group("Z101"))
+
+
+def _presentations(max_order):
+    """Every moduli tuple (factors >= 2, any order) of product <= max_order."""
+    out = []
+
+    def rec(prefix, order):
+        if prefix:
+            out.append(tuple(prefix))
+        for n in range(2, max_order // order + 1):
+            rec(prefix + [n], order * n)
+
+    rec([], 1)
+    return out
+
+
+def test_automorphism_count_closed_form_matches_enumeration():
+    presentations = _presentations(16)
+    assert (2, 2, 2, 2) in presentations and (4, 2, 2) in presentations
+    for moduli in presentations:
+        g = FinAbGroup(moduli)
+        assert automorphism_count(g) == len(automorphisms(g)), g
+
+
+def test_automorphism_count_known_values():
+    for spec, count in (
+        ("Z2xZ2xZ2xZ2xZ2", 9999360),
+        ("Z2xZ2xZ2xZ4", 21504),
+        ("Z2xZ2xZ2xZ2xZ3", 40320),
+        ("Z4xZ4xZ4", 86016),
+        ("Z3xZ3xZ3", 11232),
+        ("Z67", 66),
+    ):
+        assert automorphism_count(parse_group(spec)) == count
+
+
+def test_automorphisms_refuse_huge_groups_up_front():
+    assert len(automorphisms(parse_group("Z2xZ2xZ2xZ2"))) == MAX_AUTOMORPHISMS
+    for spec in ("Z2xZ2xZ2xZ2xZ2", "Z2xZ2xZ2xZ4", "Z4xZ4xZ4"):
+        start = time.perf_counter()
+        with pytest.raises(AutomorphismBoundError, match="automorphisms"):
+            automorphisms(parse_group(spec))
+        assert time.perf_counter() - start < 0.5
+
+
+def test_span_matches_group_element_closure():
+    rng = random.Random(3)
+    for g in GROUPS + [parse_group("Z3xZ3"), parse_group("Z2xZ2xZ2")]:
+        elems = list(g.elements())
+        for _ in range(40):
+            gens = [rng.choice(elems) for _ in range(rng.randint(0, 3))]
+            sub = span(g, gens)
+            assert sub.order == oracle_span_order(g, gens)
+            for a in gens:
+                assert a in sub

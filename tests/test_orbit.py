@@ -13,6 +13,7 @@ from chamcovers import (
     expand,
     format_vector,
     format_word,
+    generates,
     orbit_bfs,
     orbit_report,
     parse_group,
@@ -23,7 +24,7 @@ from chamcovers import (
     veech_index,
 )
 from chamcovers.orbit import SchreierGraph
-from conftest import h_pow_fixed
+from conftest import h_pow_fixed, random_vector
 
 Z2 = parse_group("Z2")
 Z3 = parse_group("Z3")
@@ -226,3 +227,17 @@ def test_adaptive_index_matches_direct_bfs():
         idx = veech_index(h)
         g = orbit_bfs(h, cap=100000)
         assert g.complete and idx == g.order
+
+
+def test_orbit_vertices_generate_the_group():
+    # The search canonicalizes every image, and canonical_class refuses
+    # non-generating letters; parabolic moves keep the letters generating.
+    rng = random.Random(17)
+    for spec in ("Z2", "Z3", "Z4", "Z2xZ2", "Z2xZ4", "Z2xZ2xZ2"):
+        group = parse_group(spec)
+        for _ in range(3):
+            graph = orbit_bfs(random_vector(group, rng), cap=20)
+            for cls in graph.vertices:
+                assert generates(cls.representative)
+    for cls in orbit_bfs(FOURP).vertices:
+        assert generates(cls.representative)

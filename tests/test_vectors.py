@@ -14,13 +14,31 @@ from chamcovers import (
     normalize,
     parse_group,
     parse_vector,
+    span,
 )
-from conftest import random_vector
+from conftest import (
+    oracle_canonical_class,
+    oracle_span_order,
+    random_vector,
+    raw_vector,
+)
 
 Z2 = parse_group("Z2")
 Z3 = parse_group("Z3")
 Z4 = parse_group("Z4")
 V4 = parse_group("Z2xZ2")
+
+# The differential corpus: raw (often unnormalized) seeded vectors.
+ORACLE_GROUPS = ("Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6", "Z2xZ4", "Z3xZ3", "Z2xZ2xZ2")
+
+
+def oracle_corpus(per_group=60, seed=2019):
+    rng = random.Random(seed)
+    return [
+        raw_vector(group, rng)
+        for group in map(parse_group, ORACLE_GROUPS)
+        for _ in range(per_group)
+    ]
 
 
 def z2v(spec):
@@ -216,3 +234,23 @@ def test_from_entries():
     assert format_vector(h) == "L=(0);R=1,1|(0)"
     with pytest.raises(ValueError):
         from_entries(Z2, {0: Z2.elem(1)})
+
+
+def test_canonical_class_matches_brute_force_oracle():
+    checked = 0
+    for h in oracle_corpus():
+        if not generates(h):
+            continue
+        assert canonical_class(h) == oracle_canonical_class(h), format_vector(h)
+        checked += 1
+    assert checked > 300
+
+
+def test_generates_matches_span_and_element_closure():
+    verdicts = set()
+    for h in oracle_corpus():
+        letters = set(h.letters())
+        full = oracle_span_order(h.group, letters) == h.group.order
+        assert generates(h) == full == (span(h.group, letters).index == 1)
+        verdicts.add(full)
+    assert verdicts == {False, True}
