@@ -4,6 +4,7 @@ finite-index decisions, coset graphs, degree-two censuses, and end counts."""
 
 from .groups import (
     MAX_AUTOMORPHISMS,
+    MAX_GROUP_ORDER,
     AutomorphismBoundError,
     Automorphism,
     FinAbGroup,
@@ -38,7 +39,6 @@ from .action import (
     act_h,
     act_h_inv,
     act_h_pow,
-    act_letter,
     act_neg,
     act_p1,
     act_p1_inv,

@@ -42,30 +42,9 @@ class WordParseError(ValueError):
 
 class GeneratorLetter(enum.Enum):
     P1 = "P1"
-    P1_INV = "P1^-1"
     P2 = "P2"
-    P2_INV = "P2^-1"
     NEG_ID = "-I"
     H = "H"
-    H_INV = "H^-1"
-
-
-_BASE_OF = {
-    GeneratorLetter.P1: (GeneratorLetter.P1, 1),
-    GeneratorLetter.P1_INV: (GeneratorLetter.P1, -1),
-    GeneratorLetter.P2: (GeneratorLetter.P2, 1),
-    GeneratorLetter.P2_INV: (GeneratorLetter.P2, -1),
-    GeneratorLetter.NEG_ID: (GeneratorLetter.NEG_ID, 1),
-    GeneratorLetter.H: (GeneratorLetter.H, 1),
-    GeneratorLetter.H_INV: (GeneratorLetter.H, -1),
-}
-
-_TOKEN_OF = {
-    GeneratorLetter.P1: "P1",
-    GeneratorLetter.P2: "P2",
-    GeneratorLetter.NEG_ID: "-I",
-    GeneratorLetter.H: "H",
-}
 
 
 @dataclass(frozen=True)
@@ -79,20 +58,13 @@ class Word:
 
 
 def simplify_word(letters) -> Word:
-    """Normalize to base letters, merge adjacent runs, drop zero exponents."""
+    """Merge adjacent runs of a letter and drop zero exponents."""
     flat: list[tuple[GeneratorLetter, int]] = []
     for ltr, exp in letters:
-        base, sign = _BASE_OF[ltr]
-        exp = exp * sign
-        if exp == 0:
-            continue
-        if flat and flat[-1][0] == base:
-            merged = flat[-1][1] + exp
-            flat.pop()
-            if merged != 0:
-                flat.append((base, merged))
-        else:
-            flat.append((base, exp))
+        if flat and flat[-1][0] == ltr:
+            exp += flat.pop()[1]
+        if exp != 0:
+            flat.append((ltr, exp))
     return Word(tuple(flat))
 
 
@@ -114,18 +86,13 @@ def parse_word(text: str) -> Word:
         if m is None:
             raise WordParseError(f"malformed word token: {token!r}")
         name, exp_txt = m.groups()
-        ltr = {
-            "P1": GeneratorLetter.P1,
-            "P2": GeneratorLetter.P2,
-            "-I": GeneratorLetter.NEG_ID,
-            "H": GeneratorLetter.H,
-        }[name]
         try:
-            letters.append((ltr, 1 if exp_txt is None else int(exp_txt)))
+            exp = 1 if exp_txt is None else int(exp_txt)
         except ValueError as exc:  # more digits than int() converts
             raise WordParseError(
                 f"exponent of {name} has {len(exp_txt)} digits"
             ) from exc
+        letters.append((GeneratorLetter(name), exp))
     word = simplify_word(letters)
     total = sum(abs(exp) for _, exp in word.letters)
     if total > MAX_WORD_EXPONENT:
@@ -138,8 +105,7 @@ def parse_word(text: str) -> Word:
 def format_word(w: Word) -> str:
     parts = []
     for ltr, exp in w.letters:
-        token = _TOKEN_OF[ltr]
-        parts.append(token if exp == 1 else f"{token}^{exp}")
+        parts.append(ltr.value if exp == 1 else f"{ltr.value}^{exp}")
     return ",".join(parts)
 
 
@@ -376,18 +342,6 @@ def act_h_inv(h: EpVector) -> EpVector:
 def act_h_pow(h: EpVector, n: int) -> EpVector:
     """The n-th power of the hyperbolic letter in one pass (any integer n)."""
     return _h_pow(h, n)
-
-
-def act_letter(h: EpVector, letter: GeneratorLetter) -> EpVector:
-    return {
-        GeneratorLetter.P1: act_p1,
-        GeneratorLetter.P1_INV: act_p1_inv,
-        GeneratorLetter.P2: act_p2,
-        GeneratorLetter.P2_INV: act_p2_inv,
-        GeneratorLetter.NEG_ID: act_neg,
-        GeneratorLetter.H: act_h,
-        GeneratorLetter.H_INV: act_h_inv,
-    }[letter](h)
 
 
 def act_word(h: EpVector, w: Word) -> EpVector:

@@ -278,7 +278,8 @@ def _build_parser() -> _Parser:
             p.add_argument("--word", required=True)
         if n:
             p.add_argument("--n", type=int, required=True)
-        p.add_argument("--format", choices=("text", "json", "dot"), default="text")
+        formats = ("text", "json", "dot") if name == "orbit" else ("text", "json")
+        p.add_argument("--format", choices=formats, default="text")
         p.set_defaults(fn=fn)
         return p
 

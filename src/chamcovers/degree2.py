@@ -91,16 +91,17 @@ def enumerate_wn(n: int, bound: int = DEFAULT_ENUM_BOUND) -> list[WnElement]:
 
 
 def _min_weak_period(e: WnElement) -> int:
-    """The least divisor m of n such that e's expansion is weakly m-periodic."""
-    n = e.n
-    values = [_entry(e.bits, j) for j in range(0, 2 * n + n + 1)]
-    for m in range(1, n + 1):
-        if n % m != 0:
-            continue
-        step = values[m]
-        # Full 2n-periodicity reduces the all-k check to one 2n-window.
-        if all((values[k + m] - values[k]) % 2 == step for k in range(2 * n)):
-            return m
+    """The least divisor m of n such that e's expansion is weakly m-periodic.
+
+    That holds exactly when the weakly m-periodic extension of the first m
+    bits reproduces all n bits, as that extension is weakly n-periodic too.
+    """
+    n, bits = e.n, e.bits
+    for m in range(1, n):
+        if n % m == 0:
+            head = bits[:m]
+            if all(bits[j - 1] == _entry(head, j) for j in range(m + 1, n + 1)):
+                return m
     return n
 
 
@@ -170,23 +171,27 @@ def count_closed_forms(n: int) -> dict:
 def orbit_census(n: int, bound: int = DEFAULT_CENSUS_BOUND) -> dict:
     """Orbit decomposition of W_n* under the two parabolic moves.
 
-    Orbits are sorted by their least member; each carries its size, its shape
-    ("Striezel" when some member has a parabolic loop, else "Kranz"), and its
-    members as bitstrings in lexicographic order.
+    Each orbit carries its size, its shape and its members as bitstrings in
+    lexicographic order.  One pass over W_n* in that order seeds every orbit
+    with its least member, so the orbits come out sorted by it.  P1 and P2
+    are involutions, so an orbit is a path ending in two loops ("Striezel")
+    when some member has a parabolic loop, else an even cycle ("Kranz").
     """
     if n > bound:
         raise ValueError(f"n={n} exceeds the census bound {bound}")
-    star = {e.bits for e in enumerate_wn_star(n)}
-    remaining = set(star)
+    star = [e.bits for e in enumerate_wn_star(n)]
+    unplaced = set(star)
     orbits = []
-    while remaining:
-        seed = min(remaining)
+    for seed in star:
+        if seed not in unplaced:
+            continue
         orb = _orbit_of(seed)
-        if not orb <= star:
+        # Earlier orbits are disjoint from orb, so this checks orb <= W_n*.
+        if not orb <= unplaced:
             raise RuntimeError(
                 "internal error: an orbit left W_n*, which is move-invariant"
             )
-        remaining -= orb
+        unplaced -= orb
         has_loop = any(p1_bits(b) == b or p2_bits(b) == b for b in orb)
         orbits.append(
             {
@@ -195,7 +200,6 @@ def orbit_census(n: int, bound: int = DEFAULT_CENSUS_BOUND) -> dict:
                 "members": ["".join(map(str, b)) for b in sorted(orb)],
             }
         )
-    orbits.sort(key=lambda o: o["members"][0])
     return {
         "n": n,
         "wn_star": len(star),

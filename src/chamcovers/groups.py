@@ -24,6 +24,10 @@ class AutomorphismBoundError(RuntimeError):
 
 _GROUP_SPEC_RE = re.compile(r"Z[0-9]+(?:xZ[0-9]+)*")
 
+# Largest group order `parse_group` accepts: the relation windows are
+# lcm(m, |G|) entries long and `span` closes over all of G.
+MAX_GROUP_ORDER = 10_000
+
 
 @dataclass(frozen=True)
 class FinAbGroup:
@@ -144,6 +148,10 @@ def parse_group(spec: str) -> FinAbGroup:
     moduli = tuple(int(part[1:]) for part in spec.split("x"))
     if any(n < 2 for n in moduli):
         raise GroupParseError(f"factor moduli must be >= 2: {spec!r}")
+    if math.prod(moduli) > MAX_GROUP_ORDER:
+        raise GroupParseError(
+            f"group {spec} has order above the bound {MAX_GROUP_ORDER}"
+        )
     return FinAbGroup(moduli)
 
 

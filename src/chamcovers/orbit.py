@@ -66,12 +66,12 @@ def orbit_bfs(h: EpVector, cap: int = 10000) -> SchreierGraph:
         i = queue.popleft()
         rep = vertices[i].representative
         images = (
-            ("p1", act_p1(rep)),
-            ("p1_inv", act_p1_inv(rep)),
-            ("p2", act_p2(rep)),
-            ("p2_inv", act_p2_inv(rep)),
+            (act_p1(rep), p1_map),
+            (act_p1_inv(rep), None),
+            (act_p2(rep), p2_map),
+            (act_p2_inv(rep), None),
         )
-        for name, img in images:
+        for img, forward in images:
             cls = canonical_class(img)
             j = index.get(cls)
             if j is None:
@@ -82,10 +82,8 @@ def orbit_bfs(h: EpVector, cap: int = 10000) -> SchreierGraph:
                 index[cls] = j
                 vertices.append(cls)
                 queue.append(j)
-            if name == "p1":
-                p1_map[i] = j
-            elif name == "p2":
-                p2_map[i] = j
+            if forward is not None:
+                forward[i] = j
     complete = not cap_hit
     return SchreierGraph(
         vertices=tuple(vertices),
@@ -96,30 +94,27 @@ def orbit_bfs(h: EpVector, cap: int = 10000) -> SchreierGraph:
     )
 
 
-_HARD_CAP = 2**20
+_HARD_CAP = 2**21
 
 
 def veech_index(h: EpVector) -> int | None:
     """The index of the cover's symmetry group, or None when infinite.
 
-    Finite verdicts come from the relation decision; the orbit is then closed
-    with an adaptive cap (doubling from a window-derived start) so the two
-    routes cross-check each other.
+    The relation decision gives the verdict.  A finite one is then checked by
+    a single orbit search capped at _HARD_CAP vertices: the index is the
+    order of the closed orbit, and an orbit that does not close means the
+    two routes disagree.
     """
     verdict = decide_finite_index(h)
     if not verdict.finite:
         return None
-    cap = max(16, 4 * h.group.order * verdict.checked_window)
-    while True:
-        graph = orbit_bfs(h, cap)
-        if graph.complete:
-            return graph.order
-        if cap > _HARD_CAP:
-            raise RuntimeError(
-                "finite-index verdict but the orbit did not close below "
-                f"{_HARD_CAP} vertices; the two decision routes disagree"
-            )
-        cap *= 2
+    graph = orbit_bfs(h, _HARD_CAP)
+    if not graph.complete:
+        raise RuntimeError(
+            "finite-index verdict but the orbit did not close below "
+            f"{_HARD_CAP} vertices; the two decision routes disagree"
+        )
+    return graph.order
 
 
 def projective_rank(h: EpVector) -> int | None:
@@ -136,7 +131,13 @@ def _inverse_perm(perm: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def classify_with_reason(graph: SchreierGraph) -> tuple[GraphType, str | None]:
-    """Striezel, Kranz or Other, with the diagnostic for Other verdicts."""
+    """Striezel, Kranz or Other, with the diagnostic for Other verdicts.
+
+    With P1 and P2 involutions the graph is a Schreier graph of the infinite
+    dihedral group <P1, P2>.  A connected one is an alternating path with a
+    loop at each end (Striezel) or an even alternating cycle (Kranz), and it
+    is a path exactly when some vertex has a loop.
+    """
     if not graph.complete:
         raise ValueError("cannot classify a truncated orbit graph")
     n = graph.order
@@ -146,49 +147,17 @@ def classify_with_reason(graph: SchreierGraph) -> tuple[GraphType, str | None]:
             return GraphType.OTHER, f"{name} edges are not a permutation"
         if any(perm[perm[i]] != i for i in range(n)):
             return GraphType.OTHER, f"{name} edges are not an involution"
-    loops = [(i, 0) for i in range(n) if p1[i] == i]
-    loops += [(i, 1) for i in range(n) if p2[i] == i]
-    perms = (p1, p2)
-    if loops:
-        # Path shape: exactly two loop-decorated endpoints joined by a simple
-        # path whose edges alternate between the two letters.
-        if len(loops) != 2:
-            return GraphType.OTHER, f"expected 2 loops on a path, found {len(loops)}"
-        (v0, l0), (v1, l1) = loops
-        if n == 1:
-            if v0 == v1 and l0 != l1:
-                return GraphType.STRIEZEL, None
-            return GraphType.OTHER, "single vertex without both loops"
-        if v0 == v1:
-            return GraphType.OTHER, "both loops on one vertex of a larger graph"
-        seen = {v0}
-        cur, letter = v0, 1 - l0
-        while True:
-            nxt = perms[letter][cur]
-            if nxt == cur:
-                break
-            if nxt in seen:
-                return GraphType.OTHER, "path revisits a vertex"
-            seen.add(nxt)
-            cur, letter = nxt, 1 - letter
-        if cur != v1 or letter != l1:
-            return GraphType.OTHER, "walk does not end at the second loop"
-        if len(seen) != n:
-            return GraphType.OTHER, "graph is not connected as a single path"
-        return GraphType.STRIEZEL, None
-    # Cycle shape: one even cycle alternating between the two letters.
-    if n % 2 != 0:
-        return GraphType.OTHER, "loopless graph of odd order cannot alternate"
     seen = {0}
-    cur, letter = 0, 0
-    for _ in range(n - 1):
-        nxt = perms[letter][cur]
-        if nxt in seen:
-            return GraphType.OTHER, "cycle walk revisits a vertex early"
-        seen.add(nxt)
-        cur, letter = nxt, 1 - letter
-    if perms[letter][cur] != 0:
-        return GraphType.OTHER, "alternating walk does not close into one cycle"
+    reached = [0]
+    for v in reached:
+        for w in (p1[v], p2[v]):
+            if w not in seen:
+                seen.add(w)
+                reached.append(w)
+    if len(seen) != n:
+        return GraphType.OTHER, "graph is not connected"
+    if any(p1[i] == i or p2[i] == i for i in range(n)):
+        return GraphType.STRIEZEL, None
     return GraphType.KRANZ, None
 
 

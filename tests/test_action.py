@@ -216,6 +216,13 @@ def test_parse_word_examples():
     assert format_word(w) == "P1^-2,H^3,P2"
     assert parse_word("") == Word(())
     assert parse_word("H").letters == ((GeneratorLetter.H, 1),)
+    assert parse_word("-I^3").letters == ((GeneratorLetter.NEG_ID, 3),)
+    assert parse_word("H^-1,P2^-2").letters == (
+        (GeneratorLetter.H, -1),
+        (GeneratorLetter.P2, -2),
+    )
+    for text in ("-I^3", "H^-1,P2^-2"):
+        assert format_word(parse_word(text)) == text
 
 
 def test_parse_word_simplifies():

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 
 def run_cli(*args):
@@ -164,6 +165,28 @@ def test_automorphism_bound_exits_one():
     assert (r.returncode, r.stdout) == (1, "")
     assert r.stderr.startswith("error: ")
     assert "Traceback" not in r.stderr
+
+
+def test_huge_group_exits_one_fast(capsys):
+    # Refused at parse time: lcm(m, |G|) windows would be about 10^9 steps.
+    from chamcovers.cli import main
+
+    for cmd in ("index", "topology"):
+        start = time.perf_counter()
+        rc = main([cmd, "--group", "Z1000000007", "--vector", "L=(1);R=(1)"])
+        elapsed = time.perf_counter() - start
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (1, "")
+        assert captured.err.startswith("error: ")
+        assert elapsed < 1.0
+
+
+def test_dot_format_only_for_orbit():
+    r = run_cli(
+        "act", "--group", "Z2", "--word", "H", "--vector", PARITY, "--format", "dot"
+    )
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr.startswith("error: ")
 
 
 def test_act_word_bound_exits_one():

@@ -6,6 +6,7 @@ from chamcovers import (
     act_p1,
     act_p2,
     canonical_class,
+    classify_type,
     count_closed_forms,
     enumerate_wn,
     enumerate_wn_star,
@@ -15,6 +16,7 @@ from chamcovers import (
     is_periodic,
     is_weakly_n_periodic,
     kranz_orbits,
+    orbit_bfs,
     orbit_census,
     p1_bits,
     p2_bits,
@@ -90,6 +92,17 @@ def test_enumerate_wn_star_small():
     assert (1, 0) not in {e.bits for e in enumerate_wn_star(2)}
 
 
+def test_enumerate_wn_star_matches_weak_periodicity():
+    for n in range(1, 9):
+        divisors = [m for m in range(1, n) if n % m == 0]
+        expected = [
+            e
+            for e in enumerate_wn(n)
+            if not any(is_weakly_n_periodic(expand(e), m) for m in divisors)
+        ]
+        assert enumerate_wn_star(n) == expected
+
+
 def test_star_counts_match_enumeration():
     for n in range(1, 13):
         assert count_closed_forms(n)["wn_star"] == len(enumerate_wn_star(n))
@@ -155,6 +168,16 @@ def test_census_small_orbit_structure():
     c4 = orbit_census(4)
     assert c4["striezel"] == 3 and c4["kranz"] == 0
     assert [o["size"] for o in c4["orbits"]] == [4, 4, 4]
+
+
+def test_census_orbits_match_general_orbit_search():
+    # The least member of each orbit seeds a search over the vector machinery.
+    for n in range(1, 8):
+        for o in orbit_census(n)["orbits"]:
+            bits = tuple(int(ch) for ch in o["members"][0])
+            g = orbit_bfs(expand(WnElement(n, bits)))
+            assert g.complete and g.order == o["size"]
+            assert classify_type(g).value == o["type"]
 
 
 def test_census_counts_by_orbit_stabilizer():

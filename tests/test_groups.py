@@ -29,12 +29,14 @@ GROUPS = [Z2, Z3, Z4, Z6, V4, Z2Z4]
 
 
 def test_parse_group_round_trip():
-    for spec in ("Z2", "Z5", "Z2xZ2", "Z2xZ4", "Z3xZ3xZ3"):
+    # Z100xZ100 has order MAX_GROUP_ORDER, the largest that parses.
+    for spec in ("Z2", "Z5", "Z2xZ2", "Z2xZ4", "Z3xZ3xZ3", "Z100xZ100"):
         assert parse_group(spec).spec() == spec
 
 
 @pytest.mark.parametrize(
-    "bad", ["", "Z", "Z1", "Z0", "z2", "Z2x", "Z2 x Z2", "Z2xZ1", "Z-3", "Z2*Z2"]
+    "bad",
+    ["", "Z", "Z1", "Z0", "z2", "Z2x", "Z2 x Z2", "Z2xZ1", "Z-3", "Z2*Z2", "Z10007"],
 )
 def test_parse_group_rejects(bad):
     with pytest.raises(GroupParseError):

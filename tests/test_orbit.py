@@ -133,14 +133,62 @@ def test_classify_rejects_non_degree_two():
         classify_type(g)
 
 
-def test_classify_with_reason_flags_malformed_graph():
+def _graph(p1, p2):
     c = canonical_class(PARITY)
-    bad = SchreierGraph(
-        vertices=(c, c), p1_edges=(1, 0), p2_edges=(1, 1), complete=True, cap_hit=False
+    return SchreierGraph(
+        vertices=(c,) * len(p1), p1_edges=p1, p2_edges=p2, complete=True, cap_hit=False
     )
-    kind, reason = classify_with_reason(bad)
+
+
+def test_classify_with_reason_flags_malformed_graph():
+    kind, reason = classify_with_reason(_graph((1, 0), (1, 1)))
     assert kind is GraphType.OTHER
     assert reason
+
+
+def _involutions(n):
+    """Every involution of range(n), as a tuple of images."""
+    if n == 0:
+        yield ()
+        return
+    # Vertex n - 1 is fixed or swapped with some earlier vertex j.
+    for rest in _involutions(n - 1):
+        yield rest + (n - 1,)
+        for j in range(n - 1):
+            if rest[j] == j:
+                yield rest[:j] + (n - 1,) + rest[j + 1 :] + (j,)
+
+
+def test_classify_matches_edge_count_oracle_on_all_involution_pairs():
+    # A connected graph on n vertices with n - 1 edges is a tree, and with n
+    # edges it has exactly one cycle; an edge is one swapped pair of a letter.
+    for n in range(1, 7):
+        invs = list(_involutions(n))
+        for p1 in invs:
+            for p2 in invs:
+                root = list(range(n))
+
+                def find(v):
+                    while root[v] != v:
+                        v = root[v]
+                    return v
+
+                for perm in (p1, p2):
+                    for i, j in enumerate(perm):
+                        root[find(i)] = find(j)
+                connected = len({find(v) for v in range(n)}) == 1
+                edges = sum(i < j for perm in (p1, p2) for i, j in enumerate(perm))
+                kind, reason = classify_with_reason(_graph(p1, p2))
+                assert (kind is GraphType.STRIEZEL) == (connected and edges == n - 1)
+                assert (kind is GraphType.KRANZ) == (connected and edges == n)
+                assert (kind is GraphType.OTHER) == (reason is not None)
+
+
+def test_classify_two_components_is_other():
+    # Vertex 0 carries both loops; vertices 1 and 2 form a 2-cycle.
+    kind, reason = classify_with_reason(_graph((0, 2, 1), (0, 2, 1)))
+    assert kind is GraphType.OTHER
+    assert reason == "graph is not connected"
 
 
 def test_stabilizer_generators_index_one():
