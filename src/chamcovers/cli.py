@@ -14,10 +14,10 @@ import os
 import sys
 from pathlib import Path
 
-from .action import WordParseError, act_word, parse_word
+from .action import act_word, parse_word
 from .degree2 import enumerate_wn, enumerate_wn_star, count_closed_forms, orbit_census, realize_rank
 from .finite_index import decide_finite_index
-from .groups import AutomorphismBoundError, GroupParseError, parse_group
+from .groups import AutomorphismBoundError, parse_group
 from .orbit import (
     dot_from_report,
     orbit_bfs,
@@ -25,7 +25,7 @@ from .orbit import (
     veech_index,
 )
 from .topology import construct_max_ends, ends_report
-from .vectors import VectorParseError, canonical_class, format_vector, parse_vector
+from .vectors import canonical_class, format_vector, parse_vector
 
 
 class CliUsageError(Exception):
@@ -45,38 +45,33 @@ def _json(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _cmd_act(args) -> int:
-    group = parse_group(args.group)
-    h = parse_vector(group, args.vector)
-    word = parse_word(args.word)
-    out = act_word(h, word)
-    if args.format == "json":
-        _emit(_json({"group": group.spec(), "vector": format_vector(out)}))
-    else:
-        _emit(format_vector(out))
+def _vector(args):
+    return parse_vector(parse_group(args.group), args.vector)
+
+
+def _render(args, report, text: str) -> int:
+    _emit(_json(report) if args.format == "json" else text)
     return 0
+
+
+def _cmd_act(args) -> int:
+    h = _vector(args)
+    out = format_vector(act_word(h, parse_word(args.word)))
+    return _render(args, {"group": h.group.spec(), "vector": out}, out)
 
 
 def _cmd_index(args) -> int:
-    group = parse_group(args.group)
-    h = parse_vector(group, args.vector)
+    h = _vector(args)
     verdict = decide_finite_index(h)
     idx = veech_index(h) if verdict.finite else None
-    if args.format == "json":
-        _emit(
-            _json(
-                {
-                    "finite": verdict.finite,
-                    "index": idx,
-                    "minimal_period": verdict.minimal_period,
-                    "checked_window": verdict.checked_window,
-                    "witness": verdict.witness,
-                }
-            )
-        )
-    else:
-        _emit(str(idx) if verdict.finite else "infinite")
-    return 0
+    report = {
+        "finite": verdict.finite,
+        "index": idx,
+        "minimal_period": verdict.minimal_period,
+        "checked_window": verdict.checked_window,
+        "witness": verdict.witness,
+    }
+    return _render(args, report, str(idx) if verdict.finite else "infinite")
 
 
 # Part of every cache key: the report layout and the canonical form of the
@@ -121,13 +116,10 @@ def _load_cached_report(path: Path):
         return None
 
 
-def _render_orbit(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        _emit(_json(report))
-        return
-    if fmt == "dot":
+def _render_orbit(args, report: dict) -> int:
+    if args.format == "dot":
         sys.stdout.write(dot_from_report(report))
-        return
+        return 0
     lines = [f"order {report['order']}"]
     if report["type"] is not None:
         lines.append(f"type {report['type']}")
@@ -135,30 +127,24 @@ def _render_orbit(report: dict, fmt: str) -> None:
         p1 = report["p1_edges"][i]
         p2 = report["p2_edges"][i]
         lines.append(f"{i} {label} P1->{p1} P2->{p2}")
-    _emit("\n".join(lines))
+    return _render(args, report, "\n".join(lines))
 
 
 def _cmd_orbit(args) -> int:
     if args.cap < 1:
         raise CliUsageError("cap must be >= 1")
-    group = parse_group(args.group)
-    h = parse_vector(group, args.vector)
+    h = _vector(args)
     verdict = decide_finite_index(h)
     if not verdict.finite:
-        if args.format == "json":
-            _emit(_json({"finite": False, "witness": verdict.witness}))
-        else:
-            _emit("infinite")
-        return 0
+        return _render(args, {"finite": False, "witness": verdict.witness}, "infinite")
     canonical = format_vector(canonical_class(h).representative)
     cache_file = None
     if args.cache is not None:
-        cache_file = _cache_path(args.cache, group.spec(), canonical)
+        cache_file = _cache_path(args.cache, h.group.spec(), canonical)
         report = _load_cached_report(cache_file)
         # An orbit larger than the cap gets the verdict of a fresh search.
         if report is not None and report["order"] <= args.cap:
-            _render_orbit(report, args.format)
-            return 0
+            return _render_orbit(args, report)
     graph = orbit_bfs(h, cap=args.cap)
     if not graph.complete:
         print(
@@ -173,95 +159,50 @@ def _cmd_orbit(args) -> int:
         tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
         tmp.write_text(_json(report))
         os.replace(tmp, cache_file)
-    _render_orbit(report, args.format)
-    return 0
+    return _render_orbit(args, report)
 
 
 def _cmd_wn(args) -> int:
-    if args.star:
-        if args.format == "json":
-            _emit(_json(orbit_census(args.n)))
-        else:
-            for e in enumerate_wn_star(args.n):
-                _emit(e.bitstring())
-        return 0
-    members = enumerate_wn(args.n)
-    if args.format == "json":
-        _emit(
-            _json(
-                {
-                    "n": args.n,
-                    "count": len(members),
-                    "members": [e.bitstring() for e in members],
-                }
-            )
-        )
-    else:
-        for e in members:
-            _emit(e.bitstring())
-    return 0
+    if args.star and args.format == "json":  # only the JSON form runs the census
+        return _render(args, orbit_census(args.n), "")
+    members = enumerate_wn_star(args.n) if args.star else enumerate_wn(args.n)
+    bitstrings = [e.bitstring() for e in members]
+    report = {"n": args.n, "count": len(members), "members": bitstrings}
+    return _render(args, report, "\n".join(bitstrings))
 
 
 def _cmd_counts(args) -> int:
     counts = count_closed_forms(args.n)
-    if args.format == "json":
-        _emit(_json(counts))
-    else:
-        for key, value in counts.items():
-            _emit(f"{key} {value}")
-    return 0
+    text = "\n".join(f"{key} {value}" for key, value in counts.items())
+    return _render(args, counts, text)
 
 
 def _cmd_topology(args) -> int:
-    group = parse_group(args.group)
-    h = parse_vector(group, args.vector)
-    report = ends_report(h)
-    if args.format == "json":
-        _emit(
-            _json(
-                {
-                    "right_acc": sorted(str(e) for e in report.right_acc),
-                    "left_acc": sorted(str(e) for e in report.left_acc),
-                    "N": report.n_window,
-                    "alt_sum": str(report.alt_sum),
-                    "g_prime": sorted(
-                        str(e) for e in report.g_prime.elements
-                    ),
-                    "ends": report.ends,
-                    "d2_type": report.d2_type.value if report.d2_type else None,
-                }
-            )
-        )
-    else:
-        lines = [f"ends {report.ends}"]
-        if report.d2_type is not None:
-            lines.append(f"type {report.d2_type.value}")
-        _emit("\n".join(lines))
-    return 0
+    report = ends_report(_vector(args))
+    d2_type = report.d2_type.value if report.d2_type else None
+    data = {
+        "right_acc": sorted(str(e) for e in report.right_acc),
+        "left_acc": sorted(str(e) for e in report.left_acc),
+        "N": report.n_window,
+        "alt_sum": str(report.alt_sum),
+        "g_prime": sorted(str(e) for e in report.g_prime.elements),
+        "ends": report.ends,
+        "d2_type": d2_type,
+    }
+    text = f"ends {report.ends}" + ("" if d2_type is None else f"\ntype {d2_type}")
+    return _render(args, data, text)
 
 
 def _cmd_construct_ends(args) -> int:
     group = parse_group(args.group)
-    h = construct_max_ends(group)
-    ends = group.order
-    if args.format == "json":
-        _emit(
-            _json(
-                {"group": group.spec(), "vector": format_vector(h), "ends": ends}
-            )
-        )
-    else:
-        _emit(f"{format_vector(h)}\nends {ends}")
-    return 0
+    vector = format_vector(construct_max_ends(group))
+    report = {"group": group.spec(), "vector": vector, "ends": group.order}
+    return _render(args, report, f"{vector}\nends {group.order}")
 
 
 def _cmd_realize_rank(args) -> int:
-    h = realize_rank(args.n)
-    if args.format == "json":
-        _emit(_json({"rank": args.n, "vector": format_vector(h)}))
-    else:
-        _emit(format_vector(h))
-    return 0
+    vector = format_vector(realize_rank(args.n))
+    return _render(args, {"rank": args.n, "vector": vector}, vector)
 
 
 def _build_parser() -> _Parser:
@@ -302,16 +243,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    except CliUsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (
-        AutomorphismBoundError,
-        GroupParseError,
-        VectorParseError,
-        WordParseError,
-        ValueError,
-    ) as exc:
+    # The parse errors of every module subclass ValueError.
+    except (CliUsageError, AutomorphismBoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

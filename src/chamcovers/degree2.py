@@ -25,6 +25,8 @@ _Z2 = parse_group("Z2")
 
 DEFAULT_ENUM_BOUND = 20
 DEFAULT_CENSUS_BOUND = 16
+# Largest n `count_closed_forms` accepts: its counts have about 0.3 n digits.
+MAX_COUNTS_N = 10_000
 
 
 @dataclass(frozen=True)
@@ -77,12 +79,12 @@ def is_weakly_n_periodic(h: EpVector, n: int) -> bool:
     return all(ent(k + n) - ent(k) == step for k in range(-span, span + 1))
 
 
-def enumerate_wn(n: int, bound: int = DEFAULT_ENUM_BOUND) -> list[WnElement]:
+def enumerate_wn(n: int) -> list[WnElement]:
     """All of W_n in lexicographic bit order."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > bound:
-        raise ValueError(f"n={n} exceeds the enumeration bound {bound}")
+    if n > DEFAULT_ENUM_BOUND:
+        raise ValueError(f"n={n} exceeds the enumeration bound {DEFAULT_ENUM_BOUND}")
     return [
         WnElement(n, bits)
         for bits in itertools.product((0, 1), repeat=n)
@@ -95,19 +97,21 @@ def _min_weak_period(e: WnElement) -> int:
 
     That holds exactly when the weakly m-periodic extension of the first m
     bits reproduces all n bits, as that extension is weakly n-periodic too.
+    The extension obeys h_j = h_{j-m} + h_m, so with bits[k] = h_{k+1} the
+    test is bits[k] == bits[k - m] ^ bits[m - 1] for m <= k < n.
     """
     n, bits = e.n, e.bits
     for m in range(1, n):
-        if n % m == 0:
-            head = bits[:m]
-            if all(bits[j - 1] == _entry(head, j) for j in range(m + 1, n + 1)):
-                return m
+        if n % m == 0 and all(
+            bits[k] == bits[k - m] ^ bits[m - 1] for k in range(m, n)
+        ):
+            return m
     return n
 
 
-def enumerate_wn_star(n: int, bound: int = DEFAULT_ENUM_BOUND) -> list[WnElement]:
+def enumerate_wn_star(n: int) -> list[WnElement]:
     """Members of W_n whose minimal weak period is exactly n, in bit order."""
-    return [e for e in enumerate_wn(n, bound) if _min_weak_period(e) == n]
+    return [e for e in enumerate_wn(n) if _min_weak_period(e) == n]
 
 
 @lru_cache(maxsize=None)
@@ -120,41 +124,52 @@ def _wn_star_count(n: int) -> int:
 
 
 def p1_bits(bits: tuple[int, ...]) -> tuple[int, ...]:
-    """The P1 move on bit tuples: reverse below n and shear by h_n."""
-    n = len(bits)
-    hn = bits[n - 1]
-    out = []
-    for k in range(1, n):
-        out.append((_entry(bits, n - k) + hn) % 2)
-    out.append(hn)
-    return tuple(out)
+    """The P1 move on bit tuples: reverse below n and shear by h_n.
+
+    Over Z2 the 2*S term of P1's formula vanishes, so h'_k = h_{-k}, and
+    weak n-periodicity gives h_{-k} = h_{n-k} + h_n (so h'_n = h_n).
+    """
+    c = bits[-1]
+    return tuple(c ^ b for b in reversed(bits[:-1])) + (c,)
 
 
 def p2_bits(bits: tuple[int, ...]) -> tuple[int, ...]:
-    """The P2 move on bit tuples, via h'_k = h_{-1} + h_{-k-1}."""
-    n = len(bits)
-    hm1 = _entry(bits, -1)
-    return tuple((hm1 + _entry(bits, -k - 1)) % 2 for k in range(1, n + 1))
+    """The P2 move on bit tuples, via h'_k = h_{-1} + h_{-k-1}.
+
+    That is P2's formula over Z2, where its 2x terms vanish.  Put
+    h_{-j} = h_{n-j} + h_n: the h_n terms cancel for k < n - 1, and
+    h'_{n-1} = h_{n-1}, h'_n = h_n.  At n = 1 the move is the identity.
+    """
+    if len(bits) == 1:
+        return bits
+    c = bits[-2]
+    return tuple(c ^ b for b in reversed(bits[:-2])) + (c, bits[-1])
 
 
-def _orbit_of(bits: tuple[int, ...]) -> frozenset:
+def _orbit_of(bits: tuple[int, ...]) -> tuple[frozenset, bool]:
+    """The orbit of bits under both moves, and whether a move fixes a member."""
     seen = {bits}
     frontier = [bits]
+    has_loop = False
     while frontier:
         nxt = []
         for b in frontier:
             for img in (p1_bits(b), p2_bits(b)):
-                if img not in seen:
+                if img == b:
+                    has_loop = True
+                elif img not in seen:
                     seen.add(img)
                     nxt.append(img)
         frontier = nxt
-    return frozenset(seen)
+    return frozenset(seen), has_loop
 
 
 def count_closed_forms(n: int) -> dict:
     """Closed-form counts for W_n: census sizes and fixed-point counts."""
     if n < 1:
         raise ValueError("n must be >= 1")
+    if n > MAX_COUNTS_N:
+        raise ValueError(f"n={n} exceeds the counts bound {MAX_COUNTS_N}")
     if n % 2 == 0:
         striezel = 3 * 2 ** (n // 2 - 1) - 1
     else:
@@ -168,7 +183,7 @@ def count_closed_forms(n: int) -> dict:
     }
 
 
-def orbit_census(n: int, bound: int = DEFAULT_CENSUS_BOUND) -> dict:
+def orbit_census(n: int) -> dict:
     """Orbit decomposition of W_n* under the two parabolic moves.
 
     Each orbit carries its size, its shape and its members as bitstrings in
@@ -177,22 +192,21 @@ def orbit_census(n: int, bound: int = DEFAULT_CENSUS_BOUND) -> dict:
     are involutions, so an orbit is a path ending in two loops ("Striezel")
     when some member has a parabolic loop, else an even cycle ("Kranz").
     """
-    if n > bound:
-        raise ValueError(f"n={n} exceeds the census bound {bound}")
+    if n > DEFAULT_CENSUS_BOUND:
+        raise ValueError(f"n={n} exceeds the census bound {DEFAULT_CENSUS_BOUND}")
     star = [e.bits for e in enumerate_wn_star(n)]
     unplaced = set(star)
     orbits = []
     for seed in star:
         if seed not in unplaced:
             continue
-        orb = _orbit_of(seed)
+        orb, has_loop = _orbit_of(seed)
         # Earlier orbits are disjoint from orb, so this checks orb <= W_n*.
         if not orb <= unplaced:
             raise RuntimeError(
                 "internal error: an orbit left W_n*, which is move-invariant"
             )
         unplaced -= orb
-        has_loop = any(p1_bits(b) == b or p2_bits(b) == b for b in orb)
         orbits.append(
             {
                 "size": len(orb),
@@ -222,13 +236,13 @@ def realize_rank(r: int) -> EpVector:
 
     Returns the expansion of the least member of W_{r-1}* lying in an orbit
     with a parabolic loop; that orbit has r - 1 vertices, so the stabilizer
-    is free of rank r.
+    is free of rank r.  With n = r - 1 that member is e = (0, ..., 0, 1):
+    it is the least nonzero tuple, it lies in W_n* because the first m < n
+    bits extend to zeros only, and P2 fixes it, which is a loop.
     """
     if r < 2:
         raise ValueError("rank must be >= 2")
     n = r - 1
-    for e in enumerate_wn_star(n):
-        orb = _orbit_of(e.bits)
-        if any(p1_bits(b) == b or p2_bits(b) == b for b in orb):
-            return expand(e)
-    raise RuntimeError(f"no loop-carrying orbit found in W_{n}*")
+    if n > DEFAULT_ENUM_BOUND:
+        raise ValueError(f"n={n} exceeds the enumeration bound {DEFAULT_ENUM_BOUND}")
+    return expand(WnElement(n, (0,) * (n - 1) + (1,)))

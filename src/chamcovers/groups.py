@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, reduce
 
 
@@ -145,7 +145,10 @@ def parse_group(spec: str) -> FinAbGroup:
     """Parse a spec like "Z2" or "Z2xZ4"; whitespace is not allowed."""
     if not _GROUP_SPEC_RE.fullmatch(spec):
         raise GroupParseError(f"malformed group spec: {spec!r}")
-    moduli = tuple(int(part[1:]) for part in spec.split("x"))
+    try:
+        moduli = tuple(int(part[1:]) for part in spec.split("x"))
+    except ValueError as exc:  # more digits than int() converts
+        raise GroupParseError("group spec has a modulus with too many digits") from exc
     if any(n < 2 for n in moduli):
         raise GroupParseError(f"factor moduli must be >= 2: {spec!r}")
     if math.prod(moduli) > MAX_GROUP_ORDER:
@@ -166,7 +169,12 @@ def parse_elem(group: FinAbGroup, text: str) -> GroupElem:
     for part, n in zip(parts, group.moduli):
         if not re.fullmatch(r"[0-9]+", part):
             raise ValueError(f"malformed residue {part!r} in {text!r}")
-        r = int(part)
+        try:
+            r = int(part)
+        except ValueError as exc:  # more digits than int() converts
+            raise ValueError(
+                f"residue of {len(part)} digits out of range for modulus {n}"
+            ) from exc
         if r >= n:
             raise ValueError(f"residue {r} out of range for modulus {n}")
         residues.append(r)
@@ -175,11 +183,10 @@ def parse_elem(group: FinAbGroup, text: str) -> GroupElem:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A subgroup given by its full element set and a generating set."""
+    """A subgroup given by its full element set."""
 
     group: FinAbGroup
     elements: frozenset[GroupElem]
-    generators: tuple[GroupElem, ...] = field(compare=False)
 
     @property
     def order(self) -> int:
@@ -199,37 +206,18 @@ class Subgroup:
 def span(group: FinAbGroup, gens=()) -> Subgroup:
     """The subgroup generated by gens (the trivial subgroup for empty gens).
 
-    The closure runs on residue tuples and stops as soon as it holds every
-    element of the group.
+    Starting from S = {0}, each generator g extends S to <S, g>, the union
+    of the cosets S + k*g (`_extend_span`); once S is all of G, later
+    generators are only checked.
     """
-    gens = tuple(gens)
+    order = group.order
+    elems = frozenset({(0,) * group.rank})
     for g in gens:
         if g.group is not group and g.group != group:
             raise ValueError("generator lives in a different group")
-    moduli = group.moduli
-    zero = (0,) * len(moduli)
-    steps = {g.residues for g in gens} - {zero}
-    elems = _close(moduli, steps, group.order)
-    return Subgroup(group, frozenset(GroupElem(group, r) for r in elems), gens)
-
-
-def _close(moduli: tuple[int, ...], steps: set, order: int) -> set:
-    """Residue tuples reachable from zero by adding steps; stops at order many."""
-    zero = (0,) * len(moduli)
-    elems = {zero}
-    frontier = [zero]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for s in steps:
-                b = tuple([(x + y) % n for x, y, n in zip(a, s, moduli)])
-                if b not in elems:
-                    elems.add(b)
-                    if len(elems) == order:
-                        return elems
-                    nxt.append(b)
-        frontier = nxt
-    return elems
+        if len(elems) < order:
+            elems = _extend_span(group.moduli, elems, g.residues)
+    return Subgroup(group, frozenset(GroupElem(group, r) for r in elems))
 
 
 @cache
@@ -297,6 +285,7 @@ _AUT_CACHE: dict[tuple[int, ...], tuple[Automorphism, ...]] = {}
 
 # Largest automorphism group that `automorphisms` enumerates: |Aut(Z2^4)|.
 MAX_AUTOMORPHISMS = 20160
+MAX_AUT_GROUP_ORDER = 64
 
 
 def _prime_powers(n: int):
@@ -352,10 +341,10 @@ def _extend_span(moduli: tuple[int, ...], base: frozenset, g: tuple) -> frozense
     return frozenset(out)
 
 
-def automorphisms(group: FinAbGroup, max_order: int = 64) -> tuple[Automorphism, ...]:
+def automorphisms(group: FinAbGroup) -> tuple[Automorphism, ...]:
     """All automorphisms of the group, in a deterministic order.
 
-    Groups of order above max_order, or with more than MAX_AUTOMORPHISMS
+    Groups of order above MAX_AUT_GROUP_ORDER, or with more than MAX_AUTOMORPHISMS
     automorphisms (counted in closed form first), are refused with
     AutomorphismBoundError.  Candidates send each factor generator to an
     element of the same exact order; partial choices are pruned unless the
@@ -365,9 +354,10 @@ def automorphisms(group: FinAbGroup, max_order: int = 64) -> tuple[Automorphism,
     cached = _AUT_CACHE.get(group.moduli)
     if cached is not None:
         return cached
-    if group.order > max_order:
+    if group.order > MAX_AUT_GROUP_ORDER:
         raise AutomorphismBoundError(
-            f"group order {group.order} exceeds the automorphism bound {max_order}"
+            f"group order {group.order} exceeds the automorphism bound "
+            f"{MAX_AUT_GROUP_ORDER}"
         )
     count = automorphism_count(group)
     if count > MAX_AUTOMORPHISMS:

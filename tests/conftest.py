@@ -183,3 +183,49 @@ def raw_vector(group: FinAbGroup, rng: random.Random) -> EpVector:
     if rng.random() < 0.3:
         rper = rper * 2
     return EpVector(group, rpre, rper, lpre, lper)
+
+
+def weak_entry(bits: tuple[int, ...], j: int) -> int:
+    """Entry j (any integer) of the weakly n-periodic Z2 extension of bits."""
+    n = len(bits)
+    q, r = divmod(j, n)
+    base = 0 if r == 0 else bits[r - 1]
+    return (base + q * bits[n - 1]) % 2
+
+
+def oracle_p1_bits(bits: tuple[int, ...]) -> tuple[int, ...]:
+    """P1 on bit tuples by walking the extension: h'_k = h_{n-k} + h_n."""
+    n = len(bits)
+    hn = bits[n - 1]
+    out = []
+    for k in range(1, n):
+        out.append((weak_entry(bits, n - k) + hn) % 2)
+    out.append(hn)
+    return tuple(out)
+
+
+def oracle_p2_bits(bits: tuple[int, ...]) -> tuple[int, ...]:
+    """P2 on bit tuples by walking the extension: h'_k = h_{-1} + h_{-k-1}."""
+    n = len(bits)
+    hm1 = weak_entry(bits, -1)
+    return tuple((hm1 + weak_entry(bits, -k - 1)) % 2 for k in range(1, n + 1))
+
+
+def oracle_orbit(bits: tuple[int, ...]) -> set:
+    """The orbit of bits under the oracle moves."""
+    seen = {bits}
+    frontier = [bits]
+    while frontier:
+        frontier = [
+            img
+            for b in frontier
+            for img in (oracle_p1_bits(b), oracle_p2_bits(b))
+            if img not in seen
+        ]
+        seen.update(frontier)
+    return seen
+
+
+def oracle_has_loop(orbit) -> bool:
+    """Does one of the oracle moves fix some member?"""
+    return any(oracle_p1_bits(b) == b or oracle_p2_bits(b) == b for b in orbit)

@@ -29,9 +29,7 @@ def test_act_json():
         "--format", "json",
     )
     assert r.returncode == 0
-    data = json.loads(r.stdout)
-    assert data["group"] == "Z2"
-    assert data["vector"].startswith("L=")
+    assert r.stdout == '{"group":"Z2","vector":"L=(1,0);R=(1,0)"}\n'
 
 
 def test_index_infinite_exact_bytes():
@@ -46,10 +44,10 @@ def test_index_finite_value_and_json():
     r = run_cli(
         "index", "--group", "Z3", "--vector", PARITY, "--format", "json",
     )
-    data = json.loads(r.stdout)
-    assert data["finite"] is False
-    assert data["index"] is None
-    assert data["witness"]
+    assert r.stdout == (
+        '{"finite":false,"index":null,"minimal_period":null,"checked_window":6,'
+        '"witness":"corner relation failed: h[6]=0 but -2*h[-1]=1"}\n'
+    )
 
 
 def test_counts_json_exact_bytes():
@@ -169,16 +167,40 @@ def test_automorphism_bound_exits_one():
 
 def test_huge_group_exits_one_fast(capsys):
     # Refused at parse time: lcm(m, |G|) windows would be about 10^9 steps.
+    # A modulus or residue with more digits than int() converts is a parse
+    # error of its own, not the interpreter's digit-limit message.
     from chamcovers.cli import main
 
-    for cmd in ("index", "topology"):
+    digits = "1" * 5000
+    argvs = [
+        [cmd, "--group", "Z1000000007", "--vector", "L=(1);R=(1)"]
+        for cmd in ("index", "topology")
+    ] + [
+        ["index", "--group", "Z" + digits, "--vector", "L=(1);R=(1)"],
+        ["index", "--group", "Z2", "--vector", f"L=(1);R=({digits})"],
+    ]
+    for argv in argvs:
         start = time.perf_counter()
-        rc = main([cmd, "--group", "Z1000000007", "--vector", "L=(1);R=(1)"])
+        rc = main(argv)
         elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
         assert (rc, captured.out) == (1, "")
         assert captured.err.startswith("error: ")
+        assert "set_int_max_str_digits" not in captured.err
         assert elapsed < 1.0
+
+
+def test_counts_bound_exits_one_fast(capsys):
+    # count_closed_forms refuses n above its bound before building 2^n.
+    from chamcovers.cli import main
+
+    start = time.perf_counter()
+    rc = main(["counts", "--n", "100000000"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (1, "")
+    assert captured.err.startswith("error: ") and "bound" in captured.err
+    assert elapsed < 1.0
 
 
 def test_dot_format_only_for_orbit():
@@ -226,9 +248,7 @@ def test_wn_listings():
     ]
     # 101 restricts to the one-bit vector, so it drops out of the star family.
     star = run_cli("wn", "--n", "3", "--star")
-    assert star.stdout.splitlines() == [
-        "001", "010", "011", "100", "110", "111",
-    ]
+    assert star.stdout == "001\n010\n011\n100\n110\n111\n"
     census = run_cli("wn", "--n", "2", "--star", "--format", "json")
     assert json.loads(census.stdout) == {
         "n": 2,
@@ -252,12 +272,10 @@ def test_topology_output():
         "topology", "--group", "Z2", "--vector", "L=(0);R=1,1|(0)",
         "--format", "json",
     )
-    data = json.loads(j.stdout)
-    assert data["ends"] == 2
-    assert data["N"] == 3
-    assert data["alt_sum"] == "0"
-    assert data["d2_type"] == "JacobsLadder"
-    assert data["g_prime"] == ["0"]
+    assert j.stdout == (
+        '{"right_acc":["0"],"left_acc":["0"],"N":3,"alt_sum":"0","g_prime":["0"],'
+        '"ends":2,"d2_type":"JacobsLadder"}\n'
+    )
     nond2 = run_cli("topology", "--group", "Z3", "--vector", "L=(0);R=1|(0)")
     assert nond2.stdout == "ends 1\n"
 
@@ -267,9 +285,7 @@ def test_construct_ends():
     assert r.returncode == 0
     assert r.stdout == "L=0:0,1:0,0:1|(0:0);R=1:1|(0:0)\nends 4\n"
     j = run_cli("construct-ends", "--group", "Z5", "--format", "json")
-    data = json.loads(j.stdout)
-    assert data["ends"] == 5
-    assert data["group"] == "Z5"
+    assert j.stdout == '{"group":"Z5","vector":"L=0,1|(0);R=1|(0)","ends":5}\n'
 
 
 def test_realize_rank():

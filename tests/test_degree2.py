@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from sympy import mobius
 
@@ -25,6 +27,7 @@ from chamcovers import (
     realize_rank,
     veech_index,
 )
+from conftest import oracle_has_loop, oracle_orbit, oracle_p1_bits, oracle_p2_bits
 
 Z2 = parse_group("Z2")
 Z3 = parse_group("Z3")
@@ -108,6 +111,13 @@ def test_star_counts_match_enumeration():
         assert count_closed_forms(n)["wn_star"] == len(enumerate_wn_star(n))
 
 
+def test_count_closed_forms_bound():
+    assert count_closed_forms(10_000)["fixed_both"] == 1
+    for n in (10_001, 100_000_000):
+        with pytest.raises(ValueError, match="bound"):
+            count_closed_forms(n)
+
+
 def test_star_recursion_matches_mobius_sum_for_n_at_least_2():
     for n in range(2, 17):
         total = sum(
@@ -143,6 +153,35 @@ def test_bit_actions_are_involutions():
         for e in enumerate_wn(n):
             assert p1_bits(p1_bits(e.bits)) == e.bits
             assert p2_bits(p2_bits(e.bits)) == e.bits
+
+
+def test_bit_moves_match_extension_oracle():
+    # The closed forms against the entry walk over the weak extension.
+    for n in range(1, 13):
+        for bits in itertools.product((0, 1), repeat=n):
+            if any(bits):
+                assert p1_bits(bits) == oracle_p1_bits(bits)
+                assert p2_bits(bits) == oracle_p2_bits(bits)
+
+
+def test_census_matches_oracle_census():
+    for n in range(1, 11):
+        star = enumerate_wn_star(n)
+        orbits, placed = [], set()
+        for e in star:
+            if e.bits not in placed:
+                orb = oracle_orbit(e.bits)
+                placed |= orb
+                shape = "Striezel" if oracle_has_loop(orb) else "Kranz"
+                members = sorted("".join(map(str, b)) for b in orb)
+                orbits.append({"size": len(orb), "type": shape, "members": members})
+        assert orbit_census(n) == {
+            "n": n,
+            "wn_star": len(star),
+            "striezel": sum(o["type"] == "Striezel" for o in orbits),
+            "kranz": sum(o["type"] == "Kranz" for o in orbits),
+            "orbits": orbits,
+        }
 
 
 def test_bit_actions_match_vector_actions():
@@ -230,6 +269,19 @@ def test_realize_rank_small():
     assert veech_index(h4) == 3
     with pytest.raises(ValueError):
         realize_rank(1)
+    with pytest.raises(ValueError, match="enumeration bound"):
+        realize_rank(22)
+
+
+def test_realize_rank_is_least_loop_orbit_member():
+    # Brute force: the least member of W_{r-1}* whose orbit has a loop.
+    for r in range(2, 13):
+        least = next(
+            e
+            for e in enumerate_wn_star(r - 1)
+            if oracle_has_loop(oracle_orbit(e.bits))
+        )
+        assert realize_rank(r) == expand(least)
 
 
 def test_wn_element_validation():

@@ -36,7 +36,9 @@ def test_parse_group_round_trip():
 
 @pytest.mark.parametrize(
     "bad",
-    ["", "Z", "Z1", "Z0", "z2", "Z2x", "Z2 x Z2", "Z2xZ1", "Z-3", "Z2*Z2", "Z10007"],
+    ["", "Z", "Z1", "Z0", "z2", "Z2x", "Z2 x Z2", "Z2xZ1", "Z-3", "Z2*Z2", "Z10007",
+     # More digits than int() converts.
+     pytest.param("Z" + "1" * 5000, id="Z-5000-digits")],
 )
 def test_parse_group_rejects(bad):
     with pytest.raises(GroupParseError):
@@ -62,6 +64,8 @@ def test_parse_elem_rejects_out_of_range():
         parse_elem(V4, "1")
     with pytest.raises(ValueError):
         parse_elem(Z4, "-1")
+    with pytest.raises(ValueError, match="out of range"):
+        parse_elem(Z4, "1" * 5000)
 
 
 def test_order_of_matches_repeated_addition():
@@ -196,7 +200,8 @@ def test_automorphisms_refuse_huge_groups_up_front():
 
 def test_span_matches_group_element_closure():
     rng = random.Random(3)
-    for g in GROUPS + [parse_group("Z3xZ3"), parse_group("Z2xZ2xZ2")]:
+    extra = ("Z3xZ3", "Z2xZ2xZ2", "Z101", "Z2xZ2xZ2xZ2")
+    for g in GROUPS + [parse_group(spec) for spec in extra]:
         elems = list(g.elements())
         for _ in range(40):
             gens = [rng.choice(elems) for _ in range(rng.randint(0, 3))]

@@ -148,6 +148,8 @@ def test_parse_accepts_prefix_without_separator():
         "L=(0);R=(3)",
         "L=(0)",
         "",
+        # A residue with more digits than int() converts.
+        pytest.param("L=(0);R=(" + "1" * 5000 + ")", id="R-5000-digits"),
     ],
 )
 def test_parse_vector_rejects(bad):
