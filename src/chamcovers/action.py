@@ -4,12 +4,13 @@ The two parabolic letters P1 and P2, the central letter -I, the hyperbolic
 letter H = -P1*P2, and their inverses act on eventually periodic vectors entry
 by entry.  One kernel runs every letter and synthesizes the output directly as
 prefix + period: the output entries are affine in input entries and in the
-running sums S(t) = sum_{j=1..t} (-h_j + h_{-j}).  With L and R the left and
-right period words and p = lcm(|L|, |R|), S gains the constant drift
-delta = (p/|L|) * sum(L) - (p/|R|) * sum(R) over any p indexes past both
-prefixes, so the output of a letter that reads S has period p * order(2 * delta).
-A second full output window is checked against the first before the result is
-trusted.
+running sums S(t) = sum_{j=1..t} (-h_j + h_{-j}).  The kernel reads the input
+entries from one `vectors.window` and, for the letters that read S, sums
+them once.  With L and R the left and right period words and
+p = lcm(|L|, |R|), S gains the constant drift delta = `vectors.drift`(h, p)
+over any p indexes past both prefixes, so the output of a letter that reads S
+has period p * order(2 * delta).  A second full output window is checked
+against the first before the result is trusted.
 
 Only P1, P2, P2^-1 and H^n (n >= 1) have entry formulas.  With the reflection
 (R h)_k = h_{-k}, which swaps the left and right words,
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import FinAbGroup, GroupElem
-from .vectors import EpVector, normalize
+from .vectors import EpVector, drift, normalize, window
 
 
 class WordParseError(ValueError):
@@ -162,32 +163,6 @@ def word_matrix(w: Word) -> Mat2Q:
     return out
 
 
-def _tail_values(prefix, period, count: int) -> list[GroupElem]:
-    """The first `count` entries of one side, outward from the origin."""
-    out = list(prefix[:count])
-    i = 0
-    while len(out) < count:
-        out.append(period[i % len(period)])
-        i += 1
-    return out
-
-
-class _Ctx:
-    """Entries and running sums (sums[t] = S(t)) of one input over a window."""
-
-    def __init__(self, h: EpVector, m: int):
-        self.zero = h.group.zero()
-        self.right = _tail_values(h.right_prefix, h.right_period, m)
-        self.left = _tail_values(h.left_prefix, h.left_period, m)
-        sums = [self.zero]
-        for j in range(m):
-            sums.append(sums[-1] + (self.left[j] - self.right[j]))
-        self.sums = sums
-
-    def e(self, k: int) -> GroupElem:
-        return self.right[k - 1] if k > 0 else self.left[-k - 1]
-
-
 def _shape(h: EpVector) -> tuple[int, int]:
     """(max prefix length, lcm of period lengths) of a vector."""
     k0 = max(len(h.right_prefix), len(h.left_prefix))
@@ -215,23 +190,25 @@ def _materialize(group: FinAbGroup, fn, k0: int, period: int) -> EpVector:
 def _act(h: EpVector, entries, grow: int, drifts: bool) -> EpVector:
     """The kernel behind every letter: shape, one window, materialize.
 
-    `entries(ctx)` returns the output entry function k -> h'_k.  The output
-    prefix is at most `grow` longer than the input's, and an output entry
-    reads input entries at most `grow` indexes further out.  Letters that
-    read S (`drifts`) multiply the period by order(2 * delta).
+    `entries(e, s)` returns the output entry function k -> h'_k, where e(k)
+    is the input entry h_k and s[t] = S(t).  The output prefix is at most
+    `grow` longer than the input's, and an output entry reads input entries
+    at most `grow` indexes further out.  Only letters that read S (`drifts`)
+    get the running sums, and they multiply the period by order(2 * delta).
     """
     k0, p = _shape(h)
     period = p
     if drifts:
-        zero = h.group.zero()
-        left, right = sum(h.left_period, zero), sum(h.right_period, zero)
-        delta = left.scale(p // len(h.left_period)) - right.scale(
-            p // len(h.right_period)
-        )
-        period *= delta.scale(2).order()
+        period *= drift(h, p).scale(2).order()
     k0 += grow
-    ctx = _Ctx(h, k0 + 2 * period + grow)
-    return _materialize(h.group, entries(ctx), k0, period)
+    m = k0 + 2 * period + grow
+    w = window(h, m)
+    sums = None
+    if drifts:
+        sums = [w[m]]  # S(0) = h_0 = 0
+        for j in range(1, m + 1):
+            sums.append(sums[-1] + (w[m - j] - w[m + j]))
+    return _materialize(h.group, entries(lambda k: w[m + k], sums), k0, period)
 
 
 def _reflect(h: EpVector) -> EpVector:
@@ -241,14 +218,11 @@ def _reflect(h: EpVector) -> EpVector:
     )
 
 
-def _p1_entries(ctx: _Ctx):
-    e, s = ctx.e, ctx.sums
+def _p1_entries(e, s):
     return lambda k: e(-k) + s[k - 1 if k > 0 else -k].scale(2)
 
 
-def _p2_entries(ctx: _Ctx):
-    e, s = ctx.e, ctx.sums
-
+def _p2_entries(e, s):
     def fn(k: int) -> GroupElem:
         if k == -1:
             return e(-1)
@@ -258,9 +232,7 @@ def _p2_entries(ctx: _Ctx):
     return fn
 
 
-def _p2_inv_entries(ctx: _Ctx):
-    e, s = ctx.e, ctx.sums
-
+def _p2_inv_entries(e, s):
     def fn(k: int) -> GroupElem:
         if k == -1:
             return e(-1)
@@ -269,18 +241,18 @@ def _p2_inv_entries(ctx: _Ctx):
     return fn
 
 
-def _h_pow_entries(ctx: _Ctx, n: int):
+def _h_pow_entries(e, n: int):
     """H^n for n >= 1: h'_k = h_{k-n} + c outside 1..n, c = sum 2^(n-j) h_{-j}.
 
     The head h'_k = c - 2 h_{k-n-1} - T_k (1 <= k <= n) uses the running term
     T_n = 0, T_{k-1} = 2 T_k + 3 h_{k-n-1}; c is summed by Horner.
     """
-    e = ctx.e
-    c = ctx.zero
+    zero = e(0)  # h_0 = 0
+    c = zero
     for j in range(1, n + 1):
         c = c.scale(2) + e(-j)
-    head = [ctx.zero] * n
-    t = ctx.zero
+    head = [zero] * n
+    t = zero
     for k in range(n, 0, -1):
         x = e(k - n - 1)
         head[k - 1] = c - x.scale(2) - t
@@ -299,7 +271,7 @@ def _h_pow(h: EpVector, n: int) -> EpVector:
         return normalize(h)
     if n < 0:
         return _reflect(_h_pow(_reflect(h), -n))
-    return _act(h, lambda ctx: _h_pow_entries(ctx, n), n + 2, False)
+    return _act(h, lambda e, s: _h_pow_entries(e, n), n + 2, False)
 
 
 def act_p1(h: EpVector) -> EpVector:

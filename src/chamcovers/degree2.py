@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .groups import parse_group
-from .vectors import EpVector, normalize
+from .vectors import EpVector, normalize, window
 
 _Z2 = parse_group("Z2")
 
@@ -71,12 +71,11 @@ def is_weakly_n_periodic(h: EpVector, n: int) -> bool:
     if n < 1:
         raise ValueError("n must be >= 1")
     h = normalize(h)
-    zero = h.group.zero()
-    ent = lambda k: zero if k == 0 else h.entry(k)
-    span = max(len(h.right_prefix), len(h.left_prefix))
-    span += 2 * max(len(h.right_period), len(h.left_period)) + 2 * n
-    step = ent(n)
-    return all(ent(k + n) - ent(k) == step for k in range(-span, span + 1))
+    m = max(len(h.right_prefix), len(h.left_prefix))
+    m += 2 * max(len(h.right_period), len(h.left_period)) + 3 * n
+    w = window(h, m)
+    step = w[m + n]
+    return all(b - a == step for a, b in zip(w, w[n:]))
 
 
 def enumerate_wn(n: int) -> list[WnElement]:

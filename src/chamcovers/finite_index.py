@@ -6,8 +6,10 @@ boundary relations over one window whose length is a common multiple of the
 group order and the vector's one-sided period.  The decision procedure is:
 a vector whose normalized form carries a nonempty prefix on either side is
 not one-sided periodic and the index is infinite; otherwise the two boundary
-relation families are checked over the window lcm(m, d), where m is the
-minimal simultaneous one-sided period and d the group order.
+relation families are checked over the window W = lcm(m, d), where m is the
+minimal simultaneous one-sided period and d the group order.  Both families
+are m-periodic in their index, so the walk covers one period, not the window
+(which can be about 10^8 entries long).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .vectors import EpVector, normalize
+from .vectors import EpVector, drift, normalize
 
 
 @dataclass(frozen=True)
@@ -34,10 +36,28 @@ class IndexVerdict:
     witness: str | None
 
 
+def _one_sided_period(h: EpVector) -> int | None:
+    """Least simultaneous one-sided period of a normalized h, or None.
+
+    `normalize` leaves the shortest prefixes and primitive periods, so h has
+    one-sided periods exactly when both prefixes are empty, and they are the
+    multiples of lcm(|R|, |L|).
+    """
+    if h.right_prefix or h.left_prefix:
+        return None
+    return math.lcm(len(h.right_period), len(h.left_period))
+
+
 def _relations_hold(h: EpVector, window: int) -> str | None:
-    """Check the boundary relations over `window`; return a witness or None."""
+    """Check the boundary relations over `window`; return a witness or None.
+
+    h is normalized with one-sided period m dividing `window`.  Then both
+    relation sequences A_k = 2h_{W-k+1} - h_{W-k} and B_k = 2h_{-k-1} - h_{-k}
+    (W = window) are m-periodic in k, so checking k <= min(W - 1, m) decides
+    every k in 1..W-1 and finds the same first failing k.
+    """
     two = lambda e: e.scale(2)
-    for k in range(1, window):
+    for k in range(1, min(window, _one_sided_period(h) + 1)):
         lhs = two(h.entry(window - k + 1)) - h.entry(window - k)
         rhs = two(h.entry(-k - 1)) - h.entry(-k)
         if lhs != rhs:
@@ -62,7 +82,8 @@ def _relations_hold(h: EpVector, window: int) -> str | None:
 def decide_finite_index(h: EpVector) -> IndexVerdict:
     """Decide finite vs. infinite index for the cover encoded by h."""
     h = normalize(h)
-    if h.right_prefix or h.left_prefix:
+    m = _one_sided_period(h)
+    if m is None:
         side = "right" if h.right_prefix else "left"
         return IndexVerdict(
             finite=False,
@@ -70,7 +91,6 @@ def decide_finite_index(h: EpVector) -> IndexVerdict:
             checked_window=0,
             witness=f"not one-sided periodic: nonempty {side} prefix after normalization",
         )
-    m = math.lcm(len(h.right_period), len(h.left_period))
     window = math.lcm(m, h.group.order)
     witness = _relations_hold(h, window)
     if witness is not None:
@@ -82,36 +102,21 @@ def decide_finite_index(h: EpVector) -> IndexVerdict:
     )
 
 
-def _one_sided_periodic(h: EpVector, period: int) -> bool:
-    """h_{k+period} = h_k for all k >= 1 and h_{-k-period} = h_{-k} for all k >= 1."""
-    span = max(len(h.right_prefix), len(h.left_prefix)) + math.lcm(
-        len(h.right_period), len(h.left_period)
-    )
-    for k in range(1, span + 1):
-        if h.entry(k + period) != h.entry(k):
-            return False
-        if h.entry(-k - period) != h.entry(-k):
-            return False
-    return True
-
-
 def in_cn(h: EpVector, n: int) -> bool:
     """Membership in the n-th invariant family containing all H^n-fixed vectors.
 
     The four requirements, over the window dn = |G| * n: one-sided
-    dn-periodicity on both sides, vanishing signed sum over one window, the
-    boundary relation family, and the two corner relations.
+    dn-periodicity on both sides, vanishing signed sum
+    sum_{j=1..dn} (h_{-j} - h_j) over one window, the boundary relation
+    family, and the two corner relations.  Once both sides are one-sided
+    dn-periodic, the signed sum is drift(h, dn).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     h = normalize(h)
     dn = h.group.order * n
-    if not _one_sided_periodic(h, dn):
-        return False
-    total = h.group.zero()
-    for j in range(1, dn + 1):
-        total = total + (h.entry(-j) - h.entry(j))
-    if not total.is_zero():
+    m = _one_sided_period(h)
+    if m is None or dn % m != 0 or not drift(h, dn).is_zero():
         return False
     return _relations_hold(h, dn) is None
 

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 
 from .groups import FinAbGroup, GroupElem, Subgroup, span
-from .vectors import EpVector, from_entries, generates, normalize
+from .vectors import EpVector, from_entries, generates, normalize, window
 
 
 class SurfaceKind(enum.Enum):
@@ -48,13 +48,9 @@ def minimal_n(h: EpVector) -> int:
 
 def alt_sum(h: EpVector, n_window: int) -> GroupElem:
     """sum_{k=-N}^{N-1} (-1)^k h_k for N = n_window (h_0 contributes zero)."""
-    total = h.group.zero()
-    for k in range(-n_window, n_window):
-        if k == 0:
-            continue
-        term = h.entry(k)
-        total = total + (term if k % 2 == 0 else -term)
-    return total
+    w = window(h, n_window)
+    signed = (x if (i - n_window) % 2 == 0 else -x for i, x in enumerate(w[:-1]))
+    return sum(signed, h.group.zero())
 
 
 def end_subgroup(h: EpVector, n_window: int | None = None) -> Subgroup:

@@ -118,25 +118,41 @@ def generates(h: EpVector) -> bool:
     return span(h.group, h.letters()).index == 1
 
 
+def window(h: EpVector, m: int) -> tuple[GroupElem, ...]:
+    """h_{-m..m} as a tuple w with w[m + k] == h_k (w[m] is h_0 = 0)."""
+
+    def side(prefix, period):
+        return (prefix + period * -(-m // len(period)))[:m]
+
+    left = side(h.left_prefix, h.left_period)
+    return left[::-1] + (h.group.zero(),) + side(h.right_prefix, h.right_period)
+
+
+def drift(h: EpVector, p: int) -> GroupElem:
+    """(p/|L|) * sum(L) - (p/|R|) * sum(R) for the period words L and R.
+
+    For p a multiple of lcm(|L|, |R|) this is what the running sum
+    S(t) = sum_{j=1..t} (h_{-j} - h_j) gains over any p indexes past both
+    prefixes: S(t + p) - S(t).
+    """
+    zero = h.group.zero()
+    left, right = sum(h.left_period, zero), sum(h.right_period, zero)
+    return left.scale(p // len(h.left_period)) - right.scale(p // len(h.right_period))
+
+
 def is_periodic(h: EpVector) -> int | None:
     """Least p with h_{k+p} = h_k for every integer k, or None.
 
     Full bi-infinite periodicity forces both prefixes of the normalized form
-    to be empty; the only extra obstruction is the seam at zero (the shift by
-    p must also map left entries onto right entries and h_{-p..} across h_0),
-    which one window check around the origin decides.
+    to be empty; each side is then p-periodic for p = lcm(|L|, |R|), so only
+    the seam at zero is left: h_{-p..0} must equal h_{0..p}.
     """
     h = normalize(h)
     if h.right_prefix or h.left_prefix:
         return None
     p = math.lcm(len(h.right_period), len(h.left_period))
-    zero = h.group.zero()
-    for k in range(-2 * p, 2 * p + 1):
-        a = h.entry(k) if k != 0 else zero
-        b = h.entry(k + p) if k + p != 0 else zero
-        if a != b:
-            return None
-    return p
+    w = window(h, p)
+    return p if w[:-p] == w[p:] else None
 
 
 def apply_aut(phi, h: EpVector) -> EpVector:

@@ -7,6 +7,7 @@ the package, so the two routes check each other.
 
 from __future__ import annotations
 
+import math
 import random
 
 from chamcovers import (
@@ -97,6 +98,57 @@ def oracle_h_pow(h: EpVector, n: int, k: int) -> GroupElem:
             acc = acc - h.entry(-j).scale(3 * 2 ** (n - k - j))
         return acc
     return h.entry(k - n) + c
+
+
+def oracle_relations(h: EpVector, window: int) -> str | None:
+    """The boundary and corner relations walked over the whole window.
+
+    Returns the first failure in the package's witness wording, or None.
+    """
+    for k in range(1, window):
+        lhs = h.entry(window - k + 1).scale(2) - h.entry(window - k)
+        rhs = h.entry(-k - 1).scale(2) - h.entry(-k)
+        if lhs != rhs:
+            return (
+                f"boundary relation failed at k={k}: "
+                f"2*h[{window - k + 1}]-h[{window - k}]={lhs} "
+                f"but 2*h[{-k - 1}]-h[{-k}]={rhs}"
+            )
+    if h.entry(window) != h.entry(-1).scale(-2):
+        return (
+            f"corner relation failed: h[{window}]={h.entry(window)} "
+            f"but -2*h[-1]={h.entry(-1).scale(-2)}"
+        )
+    if h.entry(-window) != h.entry(1).scale(-2):
+        return (
+            f"corner relation failed: h[{-window}]={h.entry(-window)} "
+            f"but -2*h[1]={h.entry(1).scale(-2)}"
+        )
+    return None
+
+
+def oracle_one_sided_periodic(h: EpVector, period: int) -> bool:
+    """h_{k+period} = h_k and h_{-k-period} = h_{-k} for every k >= 1, by walking
+    entries past both prefixes and one lcm of the periods."""
+    span = max(len(h.right_prefix), len(h.left_prefix)) + math.lcm(
+        len(h.right_period), len(h.left_period)
+    )
+    return all(
+        h.entry(k + period) == h.entry(k) and h.entry(-k - period) == h.entry(-k)
+        for k in range(1, span + 1)
+    )
+
+
+def oracle_in_cn(h: EpVector, n: int) -> bool:
+    """Membership in C_n from its four requirements, each walked entry by
+    entry over the window dn = |G| * n."""
+    h = normalize(h)
+    dn = h.group.order * n
+    if not oracle_one_sided_periodic(h, dn):
+        return False
+    if not s_sum(h, dn).is_zero():
+        return False
+    return oracle_relations(h, dn) is None
 
 
 def entries_agree(out: EpVector, oracle, radius: int = 64) -> bool:

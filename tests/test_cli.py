@@ -48,6 +48,16 @@ def test_index_finite_value_and_json():
         '{"finite":false,"index":null,"minimal_period":null,"checked_window":6,'
         '"witness":"corner relation failed: h[6]=0 but -2*h[-1]=1"}\n'
     )
+    # W = lcm(2, 5) = 10 exceeds the one-sided period m = 2: the relation walk
+    # covers one period and still reports the first failing k.
+    r = run_cli(
+        "index", "--group", "Z5", "--vector", "L=(0);R=(1,3)", "--format", "json",
+    )
+    assert r.stdout == (
+        '{"finite":false,"index":null,"minimal_period":null,"checked_window":10,'
+        '"witness":"boundary relation failed at k=2: 2*h[9]-h[8]=4 '
+        'but 2*h[-3]-h[-2]=0"}\n'
+    )
 
 
 def test_counts_json_exact_bytes():

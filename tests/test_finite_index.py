@@ -1,9 +1,11 @@
 import itertools
 import random
+import time
 
 import pytest
 
 from chamcovers import (
+    EpVector,
     WnElement,
     act_neg,
     act_p1,
@@ -14,10 +16,18 @@ from chamcovers import (
     in_cn,
     is_fixed_by_h_pow,
     is_periodic,
+    normalize,
     parse_group,
     parse_vector,
 )
-from conftest import h_pow_fixed, random_vector
+from chamcovers.finite_index import _relations_hold
+from conftest import (
+    h_pow_fixed,
+    oracle_in_cn,
+    oracle_relations,
+    random_vector,
+    raw_vector,
+)
 
 Z2 = parse_group("Z2")
 Z3 = parse_group("Z3")
@@ -152,3 +162,72 @@ def test_finite_verdicts_carry_minimal_period():
             else:
                 assert v.minimal_period is None
                 assert v.witness
+
+
+def _decision_corpus():
+    """Vectors with both verdicts: degree-two fixed points, H^n-fixed vectors
+    over larger groups, raw vectors, and purely periodic random vectors."""
+    corpus = [expand(e) for n in range(1, 10) for e in enumerate_wn(n)]
+    for spec in ("Z3", "Z4", "Z8", "Z9", "Z2xZ4"):
+        group = parse_group(spec)
+        elems = list(group.elements())
+        for n in (1, 2):
+            corpus += [h_pow_fixed(group, p) for p in itertools.product(elems, repeat=n)]
+    rng = random.Random(606)
+    for spec in ("Z2", "Z3", "Z4", "Z2xZ2", "Z6"):
+        group = parse_group(spec)
+        elems = list(group.elements())
+        word = lambda: tuple(rng.choice(elems) for _ in range(rng.randint(1, 4)))
+        for _ in range(40):
+            corpus.append(raw_vector(group, rng))
+            corpus.append(EpVector(group, (), word(), (), word()))
+    return corpus
+
+
+def test_decision_and_cn_match_entry_walk_oracles():
+    # The package reads one-sided periods off the normalized words, gets the
+    # signed sum from the drift, and walks the relations over one period;
+    # the oracles walk every entry of the whole window.
+    finite, members = set(), set()
+    for h in _decision_corpus():
+        v = decide_finite_index(h)
+        finite.add(v.finite)
+        g = normalize(h)
+        if g.right_prefix or g.left_prefix:
+            assert v.checked_window == 0 and not v.finite
+        else:
+            assert v.witness == oracle_relations(g, v.checked_window)
+        for n in (1, 2, 3, 4):
+            member = in_cn(h, n)
+            assert member == oracle_in_cn(h, n)
+            members.add(member)
+            dn = h.group.order * n
+            if not (g.right_prefix or g.left_prefix) and all(
+                dn % len(w) == 0 for w in (g.right_period, g.left_period)
+            ):
+                assert _relations_hold(g, dn) == oracle_relations(g, dn)
+    assert finite == members == {False, True}
+
+
+def test_long_relation_windows_finish_fast():
+    # Windows of 19 946, 398 920 and 2 * 10^7 entries: the boundary relations
+    # hold for every k on the first two, so a whole-window walk takes seconds
+    # to minutes.  The walk covers one period of the vector instead.
+    z9973 = parse_group("Z9973")
+    word = "0,0,1," + "2,1," * 17 + "2,2,1"
+    calls = [
+        lambda: decide_finite_index(parse_vector(z9973, "L=(1,0);R=(1,0)")),
+        lambda: decide_finite_index(parse_vector(z9973, f"L=({word});R=({word})")),
+        lambda: in_cn(PARITY, 10**7),
+    ]
+    results = []
+    for call in calls:
+        start = time.perf_counter()
+        results.append(call())
+        assert time.perf_counter() - start < 1.0
+    first, second, member = results
+    assert first.checked_window == 19946
+    assert first.witness == "corner relation failed: h[19946]=0 but -2*h[-1]=9971"
+    assert second.checked_window == 398920
+    assert second.witness == "corner relation failed: h[398920]=1 but -2*h[-1]=0"
+    assert member

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -16,11 +17,13 @@ from chamcovers import (
     parse_vector,
     span,
 )
+from chamcovers.vectors import drift, window
 from conftest import (
     oracle_canonical_class,
     oracle_span_order,
     random_vector,
     raw_vector,
+    s_sum,
 )
 
 Z2 = parse_group("Z2")
@@ -71,6 +74,25 @@ def test_entry_parity_vector():
             continue
         assert h.entry(k) == Z2.elem(k % 2)
     assert h.entry(-5) == Z2.elem(1)
+
+
+def test_window_matches_entries():
+    # w[m + k] == h_k on raw (often unnormalized) vectors, h_0 pinned to zero.
+    for h in oracle_corpus(per_group=20):
+        for m in range(13):
+            w = window(h, m)
+            assert len(w) == 2 * m + 1
+            assert w[m] == h.group.zero()
+            assert all(w[m + k] == h.entry(k) for k in range(-m, m + 1) if k != 0)
+
+
+def test_drift_is_the_gain_of_s_over_a_period():
+    for h in oracle_corpus(per_group=20):
+        k0 = max(len(h.right_prefix), len(h.left_prefix))
+        lcm = math.lcm(len(h.right_period), len(h.left_period))
+        for p in (lcm, 2 * lcm):
+            for t in range(k0, k0 + lcm + 1):
+                assert drift(h, p) == s_sum(h, t + p) - s_sum(h, t)
 
 
 def test_normalize_absorbs_prefix_into_period():
