@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .groups import FinAbGroup, GroupElem
-from .vectors import EpVector, drift, normalize, window
+from .vectors import EpVector, drift, window
 
 
 class WordParseError(ValueError):
@@ -184,7 +184,7 @@ def _materialize(group: FinAbGroup, fn, k0: int, period: int) -> EpVector:
 
     rpre, rper = side(1)
     lpre, lper = side(-1)
-    return normalize(EpVector(group, rpre, rper, lpre, lper))
+    return EpVector(group, rpre, rper, lpre, lper)
 
 
 def _act(h: EpVector, entries, grow: int, drifts: bool) -> EpVector:
@@ -268,7 +268,7 @@ def _h_pow_entries(e, n: int):
 
 def _h_pow(h: EpVector, n: int) -> EpVector:
     if n == 0:
-        return normalize(h)
+        return h
     if n < 0:
         return _reflect(_h_pow(_reflect(h), -n))
     return _act(h, lambda e, s: _h_pow_entries(e, n), n + 2, False)
@@ -292,14 +292,12 @@ def act_p2_inv(h: EpVector) -> EpVector:
 
 def act_neg(h: EpVector) -> EpVector:
     mapw = lambda w: tuple(-e for e in w)
-    return normalize(
-        EpVector(
-            h.group,
-            mapw(h.right_prefix),
-            mapw(h.right_period),
-            mapw(h.left_prefix),
-            mapw(h.left_period),
-        )
+    return EpVector(
+        h.group,
+        mapw(h.right_prefix),
+        mapw(h.right_period),
+        mapw(h.left_prefix),
+        mapw(h.left_period),
     )
 
 
@@ -318,18 +316,17 @@ def act_h_pow(h: EpVector, n: int) -> EpVector:
 
 def act_word(h: EpVector, w: Word) -> EpVector:
     """Apply a word to a vector, rightmost letter first."""
-    out = normalize(h)
     for ltr, exp in reversed(w.letters):
         if ltr is GeneratorLetter.NEG_ID:
             if exp % 2 == 1:
-                out = act_neg(out)
+                h = act_neg(h)
             continue
         if ltr is GeneratorLetter.H:
-            out = act_h_pow(out, exp)
+            h = act_h_pow(h, exp)
             continue
         fwd = act_p1 if ltr is GeneratorLetter.P1 else act_p2
         bwd = act_p1_inv if ltr is GeneratorLetter.P1 else act_p2_inv
         step = fwd if exp > 0 else bwd
         for _ in range(abs(exp)):
-            out = step(out)
-    return out
+            h = step(h)
+    return h

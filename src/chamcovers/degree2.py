@@ -19,13 +19,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .groups import parse_group
-from .vectors import EpVector, normalize, window
+from .vectors import EpVector, window
 
 _Z2 = parse_group("Z2")
 
 DEFAULT_ENUM_BOUND = 20
 DEFAULT_CENSUS_BOUND = 16
-# Largest n `count_closed_forms` accepts: its counts have about 0.3 n digits.
+# Largest n `count_closed_forms` accepts (its counts have about 0.3 n digits),
+# and largest r - 1 `realize_rank` accepts (its vector has about 4 r entries).
 MAX_COUNTS_N = 10_000
 
 
@@ -57,11 +58,11 @@ def _entry(bits: tuple[int, ...], j: int) -> int:
 
 
 def expand(e: WnElement) -> EpVector:
-    """The normalized vector of e: right period (h_1..h_2n), left (h_-1..h_-2n)."""
+    """The vector of e: right period (h_1..h_2n), left period (h_-1..h_-2n)."""
     n = e.n
     right = tuple(_Z2.elem(_entry(e.bits, j)) for j in range(1, 2 * n + 1))
     left = tuple(_Z2.elem(_entry(e.bits, -j)) for j in range(1, 2 * n + 1))
-    return normalize(EpVector(_Z2, (), right, (), left))
+    return EpVector(_Z2, (), right, (), left)
 
 
 def is_weakly_n_periodic(h: EpVector, n: int) -> bool:
@@ -70,7 +71,6 @@ def is_weakly_n_periodic(h: EpVector, n: int) -> bool:
         raise ValueError("weak periodicity is defined over two-element groups")
     if n < 1:
         raise ValueError("n must be >= 1")
-    h = normalize(h)
     m = max(len(h.right_prefix), len(h.left_prefix))
     m += 2 * max(len(h.right_period), len(h.left_period)) + 3 * n
     w = window(h, m)
@@ -242,6 +242,6 @@ def realize_rank(r: int) -> EpVector:
     if r < 2:
         raise ValueError("rank must be >= 2")
     n = r - 1
-    if n > DEFAULT_ENUM_BOUND:
-        raise ValueError(f"n={n} exceeds the enumeration bound {DEFAULT_ENUM_BOUND}")
+    if n > MAX_COUNTS_N:
+        raise ValueError(f"rank {r} exceeds the rank bound {MAX_COUNTS_N + 1}")
     return expand(WnElement(n, (0,) * (n - 1) + (1,)))

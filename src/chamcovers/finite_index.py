@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .vectors import EpVector, drift, normalize
+from .vectors import EpVector
 
 
 @dataclass(frozen=True)
@@ -37,9 +37,9 @@ class IndexVerdict:
 
 
 def _one_sided_period(h: EpVector) -> int | None:
-    """Least simultaneous one-sided period of a normalized h, or None.
+    """Least simultaneous one-sided period of h, or None.
 
-    `normalize` leaves the shortest prefixes and primitive periods, so h has
+    h is stored with the shortest prefixes and primitive periods, so it has
     one-sided periods exactly when both prefixes are empty, and they are the
     multiples of lcm(|R|, |L|).
     """
@@ -81,7 +81,6 @@ def _relations_hold(h: EpVector, window: int) -> str | None:
 
 def decide_finite_index(h: EpVector) -> IndexVerdict:
     """Decide finite vs. infinite index for the cover encoded by h."""
-    h = normalize(h)
     m = _one_sided_period(h)
     if m is None:
         side = "right" if h.right_prefix else "left"
@@ -105,18 +104,20 @@ def decide_finite_index(h: EpVector) -> IndexVerdict:
 def in_cn(h: EpVector, n: int) -> bool:
     """Membership in the n-th invariant family containing all H^n-fixed vectors.
 
-    The four requirements, over the window dn = |G| * n: one-sided
-    dn-periodicity on both sides, vanishing signed sum
-    sum_{j=1..dn} (h_{-j} - h_j) over one window, the boundary relation
-    family, and the two corner relations.  Once both sides are one-sided
-    dn-periodic, the signed sum is drift(h, dn).
+    The four requirements, over the window W = dn = |G| * n: one-sided
+    W-periodicity on both sides, vanishing signed sum
+    sum_{j=1..W} (h_{-j} - h_j), the boundary relations A_k = B_k
+    (k = 1..W-1, see `_relations_hold`), and the corner relations
+    h_W = -2h_{-1}, h_{-W} = -2h_1.  The relations imply the signed sum, so
+    it is not checked: summing A_k = B_k over k = 1..W-1 gives
+    h_W - 2h_1 + sum_{j<=W} h_j = h_{-W} - 2h_{-1} + sum_{j<=W} h_{-j}, and
+    by the corner relations h_W - 2h_1 = -2h_{-1} - 2h_1 = h_{-W} - 2h_{-1}.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    h = normalize(h)
     dn = h.group.order * n
     m = _one_sided_period(h)
-    if m is None or dn % m != 0 or not drift(h, dn).is_zero():
+    if m is None or dn % m != 0:
         return False
     return _relations_hold(h, dn) is None
 
@@ -124,8 +125,8 @@ def in_cn(h: EpVector, n: int) -> bool:
 def is_fixed_by_h_pow(h: EpVector, n: int, level: str = "vector") -> bool:
     """Is h fixed by the n-th power of the hyperbolic letter?
 
-    level "vector" compares normalized vectors; level "class" compares
-    automorphism classes.
+    level "vector" compares vectors; level "class" compares automorphism
+    classes.
     """
     from .action import act_h_pow
     from .vectors import canonical_class
@@ -136,5 +137,5 @@ def is_fixed_by_h_pow(h: EpVector, n: int, level: str = "vector") -> bool:
         raise ValueError(f"unknown level: {level!r}")
     image = act_h_pow(h, n)
     if level == "vector":
-        return image == normalize(h)
+        return image == h
     return canonical_class(image) == canonical_class(h)

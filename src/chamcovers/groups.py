@@ -279,10 +279,6 @@ class Automorphism:
         return f"Automorphism({self.group}, {[str(x) for x in self.images]})"
 
 
-# Automorphism tables are deterministic per moduli tuple, so a shared cache is
-# safe to publish once computed.
-_AUT_CACHE: dict[tuple[int, ...], tuple[Automorphism, ...]] = {}
-
 # Largest automorphism group that `automorphisms` enumerates: |Aut(Z2^4)|.
 MAX_AUTOMORPHISMS = 20160
 MAX_AUT_GROUP_ORDER = 64
@@ -341,6 +337,7 @@ def _extend_span(moduli: tuple[int, ...], base: frozenset, g: tuple) -> frozense
     return frozenset(out)
 
 
+@cache
 def automorphisms(group: FinAbGroup) -> tuple[Automorphism, ...]:
     """All automorphisms of the group, in a deterministic order.
 
@@ -349,11 +346,9 @@ def automorphisms(group: FinAbGroup) -> tuple[Automorphism, ...]:
     AutomorphismBoundError.  Candidates send each factor generator to an
     element of the same exact order; partial choices are pruned unless the
     chosen images span a subgroup of full expected size, which forces
-    injectivity level by level.
+    injectivity level by level.  The table is computed once per group; a
+    refusal raises afresh each time.
     """
-    cached = _AUT_CACHE.get(group.moduli)
-    if cached is not None:
-        return cached
     if group.order > MAX_AUT_GROUP_ORDER:
         raise AutomorphismBoundError(
             f"group order {group.order} exceeds the automorphism bound "
@@ -385,6 +380,4 @@ def automorphisms(group: FinAbGroup) -> tuple[Automorphism, ...]:
             images.pop()
 
     rec(0, frozenset({(0,) * len(moduli)}))
-    result = tuple(found)
-    _AUT_CACHE.setdefault(moduli, result)
-    return result
+    return tuple(found)

@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 
 from .groups import FinAbGroup, GroupElem, Subgroup, span
-from .vectors import EpVector, from_entries, generates, normalize, window
+from .vectors import EpVector, from_entries, generates, window
 
 
 class SurfaceKind(enum.Enum):
@@ -36,13 +36,11 @@ class EndsReport:
 
 def accumulation_points(h: EpVector) -> tuple[frozenset, frozenset]:
     """Letters occurring infinitely often on the right and on the left."""
-    h = normalize(h)
     return frozenset(h.right_period), frozenset(h.left_period)
 
 
 def minimal_n(h: EpVector) -> int:
     """The least window bound N that clears both prefixes (always >= 1)."""
-    h = normalize(h)
     return max(len(h.right_prefix), len(h.left_prefix)) + 1
 
 
@@ -59,7 +57,6 @@ def end_subgroup(h: EpVector, n_window: int | None = None) -> Subgroup:
     The result does not depend on n_window as long as it is at least
     minimal_n(h); passing a larger window is allowed (and tested).
     """
-    h = normalize(h)
     if n_window is None:
         n_window = minimal_n(h)
     elif n_window < minimal_n(h):
@@ -93,7 +90,6 @@ def classify_d2(h: EpVector) -> SurfaceKind:
     """
     if h.group.order != 2:
         raise ValueError("the two-type classification needs a two-element group")
-    h = normalize(h)
     zero = h.group.zero()
     one = next(e for e in h.group.elements() if not e.is_zero())
     prefixes = h.left_prefix + h.right_prefix
@@ -110,7 +106,6 @@ def ends_report(h: EpVector) -> EndsReport:
     """The full end computation for one vector."""
     if not generates(h):
         raise ValueError("vector letters do not generate the group")
-    h = normalize(h)
     n_window = minimal_n(h)
     racc, lacc = accumulation_points(h)
     g_prime = end_subgroup(h, n_window)

@@ -6,6 +6,11 @@ repeating period; the left side is indexed outward, so left_prefix[0] is
 h_{-1} and the left period repeats toward -infinity.  Entry k = 0 is not a
 legal index for `entry`.
 
+Every vector is stored in normal form: on each side, the shortest prefix and
+the primitive period that spell its word.  The constructor computes it, so
+`==` and `hash` are equality of bi-infinite vectors, and a vector is
+one-sided periodic exactly when both stored prefixes are empty.
+
 Serialization: ``L=<tail>;R=<tail>`` with ``tail := [word ["|"]] "(" word ")"``
 and ``word := elem ("," elem)*``; an element is colon-joined residues.
 Whitespace is forbidden.  Example: ``L=(0);R=1,1|(0)`` is the vector with
@@ -34,7 +39,8 @@ class VectorParseError(ValueError):
 
 @dataclass(frozen=True)
 class EpVector:
-    """One eventually periodic bi-infinite vector (not auto-normalized)."""
+    """One eventually periodic bi-infinite vector; any spelling is stored in
+    normal form, so two spellings of one vector compare and hash equal."""
 
     group: FinAbGroup
     right_prefix: tuple[GroupElem, ...]
@@ -45,15 +51,14 @@ class EpVector:
     def __post_init__(self) -> None:
         if not self.right_period or not self.left_period:
             raise ValueError("periods must be nonempty")
-        for word in (
-            self.right_prefix,
-            self.right_period,
-            self.left_prefix,
-            self.left_period,
-        ):
-            for e in word:
-                if e.group != self.group:
-                    raise ValueError("vector letter lives in a different group")
+        if any(e.group != self.group for e in self.letters()):
+            raise ValueError("vector letter lives in a different group")
+        rpre, rper = _normal_side(self.right_prefix, self.right_period)
+        lpre, lper = _normal_side(self.left_prefix, self.left_period)
+        object.__setattr__(self, "right_prefix", rpre)
+        object.__setattr__(self, "right_period", rper)
+        object.__setattr__(self, "left_prefix", lpre)
+        object.__setattr__(self, "left_period", lper)
 
     def entry(self, k: int) -> GroupElem:
         """h_k for nonzero integer k."""
@@ -87,30 +92,29 @@ class EpVector:
         return format_vector(self)
 
 
-def _primitive_root(word: tuple[GroupElem, ...]) -> tuple[GroupElem, ...]:
-    n = len(word)
-    for d in range(1, n):
-        if n % d == 0 and word == word[:d] * (n // d):
-            return word[:d]
-    return word
-
-
-def _absorb(prefix: list, period: list) -> tuple[list, list]:
-    # Pull the tail of the prefix into the repeating part whenever the last
-    # prefix letter matches the letter the period would place there.
-    while prefix and prefix[-1] == period[-1]:
-        prefix.pop()
-        period.insert(0, period.pop())
-    return prefix, period
+def _normal_side(prefix, period) -> tuple[tuple, tuple]:
+    """The shortest prefix and primitive period spelling one side's word."""
+    n, d = len(period), 1
+    while n % d or period != period[:d] * (n // d):
+        d += 1
+    period = period[:d]
+    # Pull the tail of the prefix into the repeating part while each letter is
+    # the one the period would place there; every pulled letter rotates the
+    # period right by one.
+    j = 0
+    while j < len(prefix) and prefix[-1 - j] == period[-1 - j % d]:
+        j += 1
+    r = d - j % d
+    return prefix[: len(prefix) - j], period[r:] + period[:r]
 
 
 def normalize(h: EpVector) -> EpVector:
-    """The unique shortest representation of the same bi-infinite vector."""
-    rper = list(_primitive_root(h.right_period))
-    lper = list(_primitive_root(h.left_period))
-    rpre, rper = _absorb(list(h.right_prefix), rper)
-    lpre, lper = _absorb(list(h.left_prefix), lper)
-    return EpVector(h.group, tuple(rpre), tuple(rper), tuple(lpre), tuple(lper))
+    """h itself, as every `EpVector` is stored in normal form.
+
+    Kept in the public API: callers such as the tests and the benchmark
+    workloads still spell the step out.
+    """
+    return h
 
 
 def generates(h: EpVector) -> bool:
@@ -143,11 +147,10 @@ def drift(h: EpVector, p: int) -> GroupElem:
 def is_periodic(h: EpVector) -> int | None:
     """Least p with h_{k+p} = h_k for every integer k, or None.
 
-    Full bi-infinite periodicity forces both prefixes of the normalized form
-    to be empty; each side is then p-periodic for p = lcm(|L|, |R|), so only
-    the seam at zero is left: h_{-p..0} must equal h_{0..p}.
+    Full bi-infinite periodicity forces both prefixes of the normal form to
+    be empty; each side is then p-periodic for p = lcm(|L|, |R|), so only the
+    seam at zero is left: h_{-p..0} must equal h_{0..p}.
     """
-    h = normalize(h)
     if h.right_prefix or h.left_prefix:
         return None
     p = math.lcm(len(h.right_period), len(h.left_period))
@@ -171,8 +174,8 @@ def apply_aut(phi, h: EpVector) -> EpVector:
 class VectorClass:
     """An orbit of vectors under letterwise group automorphisms.
 
-    Stored as the lexicographically least normalized representative, so
-    equality and hashing are representative equality.
+    Stored as the lexicographically least representative, so equality and
+    hashing are representative equality.
     """
 
     representative: EpVector
@@ -185,22 +188,20 @@ class VectorClass:
 def canonical_class(h: EpVector) -> VectorClass:
     """The automorphism class of h (requires generating letters).
 
-    The representative is the least `key()` among the normalized images
-    normalize(phi(h)) over all automorphisms phi.  A letterwise automorphism
-    is a bijection on letters, so it preserves which letters are equal: it
-    commutes with `normalize`, and every image of the normalized input has
-    the same four word lengths.  Comparing keys is then comparing the
-    flattened letter sequences (right prefix, right period, left prefix,
-    left period) lexicographically, so the minimum is found letter by
-    letter: keep the automorphisms whose image of the next letter is least,
-    until one is left.  Automorphisms that tie on every letter give the same
-    image.  Letters already seen (and zero, which every automorphism fixes)
-    cannot split the survivors and are skipped.
+    The representative is the least `key()` among the images phi(h) over all
+    automorphisms phi.  A letterwise automorphism is a bijection on letters,
+    so it preserves which letters are equal: it commutes with the normal
+    form, and every image of h has the same four word lengths.  Comparing
+    keys is then comparing the flattened letter sequences (right prefix,
+    right period, left prefix, left period) lexicographically, so the
+    minimum is found letter by letter: keep the automorphisms whose image of
+    the next letter is least, until one is left.  Automorphisms that tie on
+    every letter give the same image.  Letters already seen (and zero, which
+    every automorphism fixes) cannot split the survivors and are skipped.
     """
     if not generates(h):
         raise ValueError("vector letters do not generate the group")
     survivors = automorphisms(h.group)
-    h = normalize(h)
     _, index = element_index(h.group)
     codes = [index[e.residues] for e in h.letters()]
     seen = {0}
@@ -241,14 +242,14 @@ def _parse_tail(group: FinAbGroup, text: str, side: str):
 
 
 def parse_vector(group: FinAbGroup, spec: str) -> EpVector:
-    """Parse and normalize a vector spec like ``L=(0);R=1,1|(0)``."""
+    """Parse a vector spec like ``L=(0);R=1,1|(0)``."""
     m = re.fullmatch(r"L=([^;]*);R=(.*)", spec)
     if m is None:
         raise VectorParseError(f"malformed vector spec: {spec!r}")
     left_txt, right_txt = m.groups()
     lpre, lper = _parse_tail(group, left_txt, "left")
     rpre, rper = _parse_tail(group, right_txt, "right")
-    return normalize(EpVector(group, rpre, rper, lpre, lper))
+    return EpVector(group, rpre, rper, lpre, lper)
 
 
 def _format_word(word: tuple[GroupElem, ...]) -> str:
@@ -262,7 +263,7 @@ def _format_tail(prefix, period) -> str:
 
 
 def format_vector(h: EpVector) -> str:
-    """Serialize h; parse_vector(group, format_vector(h)) == h when normalized."""
+    """Serialize h; parse_vector(h.group, format_vector(h)) == h."""
     return (
         f"L={_format_tail(h.left_prefix, h.left_period)};"
         f"R={_format_tail(h.right_prefix, h.right_period)}"
@@ -270,7 +271,7 @@ def format_vector(h: EpVector) -> str:
 
 
 def from_entries(group: FinAbGroup, entries: dict[int, GroupElem]) -> EpVector:
-    """The normalized vector with the given nonzero-index entries, zero tails."""
+    """The vector with the given nonzero-index entries and zero tails."""
     zero = group.zero()
     if 0 in entries:
         raise ValueError("index 0 is pinned to zero")
@@ -278,4 +279,4 @@ def from_entries(group: FinAbGroup, entries: dict[int, GroupElem]) -> EpVector:
     lo = max((-k for k in entries if k < 0), default=0)
     rpre = tuple(entries.get(k, zero) for k in range(1, hi + 1))
     lpre = tuple(entries.get(-k, zero) for k in range(1, lo + 1))
-    return normalize(EpVector(group, rpre, (zero,), lpre, (zero,)))
+    return EpVector(group, rpre, (zero,), lpre, (zero,))

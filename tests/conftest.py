@@ -225,8 +225,9 @@ def oracle_span_order(group: FinAbGroup, gens) -> int:
 
 
 def raw_vector(group: FinAbGroup, rng: random.Random) -> EpVector:
-    """A seeded random vector, often not normalized: periods may repeat and
-    prefixes may end in letters the period would absorb."""
+    """A seeded random vector built from words that often are not the normal
+    form: periods may repeat and prefixes may end in letters the period would
+    absorb.  The constructor normalizes them."""
     elems = list(group.elements())
     word = lambda lo, hi: tuple(rng.choice(elems) for _ in range(rng.randint(lo, hi)))
     rper, lper = word(1, 3), word(1, 3)
@@ -235,6 +236,14 @@ def raw_vector(group: FinAbGroup, rng: random.Random) -> EpVector:
     if rng.random() < 0.3:
         rper = rper * 2
     return EpVector(group, rpre, rper, lpre, lper)
+
+
+def oracle_word_entry(words: tuple[tuple, ...], k: int) -> GroupElem:
+    """h_k read straight off the words as spelled (right prefix, right
+    period, left prefix, left period), by writing the side out to |k|."""
+    rpre, rper, lpre, lper = words
+    prefix, period = (rpre, rper) if k > 0 else (lpre, lper)
+    return (prefix + period * abs(k))[abs(k) - 1]
 
 
 def weak_entry(bits: tuple[int, ...], j: int) -> int:

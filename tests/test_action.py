@@ -46,6 +46,8 @@ Z3 = parse_group("Z3")
 Z4 = parse_group("Z4")
 V4 = parse_group("Z2xZ2")
 GROUPS = [Z2, Z3, Z4, V4]
+# The random differential test also draws larger and mixed groups.
+WIDE_GROUPS = GROUPS + [parse_group(g) for g in ("Z5", "Z6", "Z2xZ4", "Z3xZ3")]
 
 ACTIONS = [
     (act_p1, oracle_p1),
@@ -196,7 +198,7 @@ def test_class_level_action_well_defined():
 @given(st.data())
 @settings(max_examples=40, deadline=None)
 def test_actions_match_oracle_random(data):
-    group = data.draw(st.sampled_from(GROUPS))
+    group = data.draw(st.sampled_from(WIDE_GROUPS))
     seed = data.draw(st.integers(min_value=0, max_value=10**6))
     h = random_vector(group, random.Random(seed))
     act, oracle = data.draw(st.sampled_from(ACTIONS))

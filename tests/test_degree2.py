@@ -27,6 +27,7 @@ from chamcovers import (
     realize_rank,
     veech_index,
 )
+from chamcovers.degree2 import MAX_COUNTS_N
 from conftest import oracle_has_loop, oracle_orbit, oracle_p1_bits, oracle_p2_bits
 
 Z2 = parse_group("Z2")
@@ -269,8 +270,12 @@ def test_realize_rank_small():
     assert veech_index(h4) == 3
     with pytest.raises(ValueError):
         realize_rank(1)
-    with pytest.raises(ValueError, match="enumeration bound"):
-        realize_rank(22)
+    for r in (22, 30):
+        h = realize_rank(r)
+        assert h == expand(WnElement(r - 1, (0,) * (r - 2) + (1,)))
+        assert veech_index(h) == r - 1
+    with pytest.raises(ValueError, match=f"rank {MAX_COUNTS_N + 2} exceeds"):
+        realize_rank(MAX_COUNTS_N + 2)
 
 
 def test_realize_rank_is_least_loop_orbit_member():

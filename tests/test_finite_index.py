@@ -185,9 +185,10 @@ def _decision_corpus():
 
 
 def test_decision_and_cn_match_entry_walk_oracles():
-    # The package reads one-sided periods off the normalized words, gets the
-    # signed sum from the drift, and walks the relations over one period;
-    # the oracles walk every entry of the whole window.
+    # The package reads one-sided periods off the stored normal form and
+    # walks the relations over one period (they imply the vanishing signed
+    # sum); the oracles walk every entry of the whole window and check the
+    # signed sum on its own.
     finite, members = set(), set()
     for h in _decision_corpus():
         v = decide_finite_index(h)

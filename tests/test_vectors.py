@@ -21,6 +21,7 @@ from chamcovers.vectors import drift, window
 from conftest import (
     oracle_canonical_class,
     oracle_span_order,
+    oracle_word_entry,
     random_vector,
     raw_vector,
     s_sum,
@@ -31,7 +32,8 @@ Z3 = parse_group("Z3")
 Z4 = parse_group("Z4")
 V4 = parse_group("Z2xZ2")
 
-# The differential corpus: raw (often unnormalized) seeded vectors.
+# The differential corpus: vectors built from raw (often not normal) seeded
+# words, which the constructor normalizes.
 ORACLE_GROUPS = ("Z2", "Z3", "Z4", "Z2xZ2", "Z5", "Z6", "Z2xZ4", "Z3xZ3", "Z2xZ2xZ2")
 
 
@@ -77,7 +79,7 @@ def test_entry_parity_vector():
 
 
 def test_window_matches_entries():
-    # w[m + k] == h_k on raw (often unnormalized) vectors, h_0 pinned to zero.
+    # w[m + k] == h_k on the differential corpus, h_0 pinned to zero.
     for h in oracle_corpus(per_group=20):
         for m in range(13):
             w = window(h, m)
@@ -129,22 +131,36 @@ def test_normalize_keeps_genuine_prefix():
 
 
 def test_normalize_idempotent_and_entry_preserving():
+    # The constructor stores the normal form: the entries the raw words
+    # spell, primitive periods, and no prefix letter the period would absorb.
     rng = random.Random(7)
     for _ in range(200):
         group = rng.choice([Z2, Z3, Z4, V4])
         elems = list(group.elements())
-        raw = EpVector(
-            group,
-            tuple(rng.choice(elems) for _ in range(rng.randint(0, 3))),
-            tuple(rng.choice(elems) for _ in range(rng.randint(1, 4))),
-            tuple(rng.choice(elems) for _ in range(rng.randint(0, 3))),
-            tuple(rng.choice(elems) for _ in range(rng.randint(1, 4))),
+        words = tuple(
+            tuple(rng.choice(elems) for _ in range(rng.randint(lo, hi)))
+            for lo, hi in ((0, 3), (1, 4), (0, 3), (1, 4))
         )
-        h = normalize(raw)
-        assert normalize(h) == h
+        h = EpVector(group, *words)
+        assert normalize(h) is h
+        stored = (h.right_prefix, h.right_period, h.left_prefix, h.left_period)
+        assert EpVector(group, *stored) == h
         for k in range(-15, 16):
             if k != 0:
-                assert h.entry(k) == raw.entry(k)
+                assert h.entry(k) == oracle_word_entry(words, k)
+        for prefix, period in zip(stored[::2], stored[1::2]):
+            n = len(period)
+            roots = (period[:d] for d in range(1, n) if n % d == 0)
+            assert all(period != root * (n // len(root)) for root in roots)
+            assert not prefix or prefix[-1] != period[-1]
+
+
+def test_spellings_of_one_vector_compare_and_hash_equal():
+    zero, one = Z2.elem(0), Z2.elem(1)
+    spelled = EpVector(Z2, (one,), (zero, one), (), (one, zero))
+    parsed = parse_vector(Z2, "L=(1,0);R=(1,0)")
+    assert spelled == parsed and hash(spelled) == hash(parsed)
+    assert format_vector(spelled) == "L=(1,0);R=(1,0)"
 
 
 def test_format_parse_round_trip_examples():
