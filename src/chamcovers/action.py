@@ -3,10 +3,13 @@
 The two parabolic letters P1 and P2, the central letter -I, the hyperbolic
 letter H = -P1*P2, and their inverses act on eventually periodic vectors entry
 by entry.  One kernel runs every letter and synthesizes the output directly as
-prefix + period: the output entries are affine in input entries and in the
+prefix + period: the output entries are Z-linear in input entries and in the
 running sums S(t) = sum_{j=1..t} (-h_j + h_{-j}).  The kernel reads the input
-entries from one `vectors.window` and, for the letters that read S, sums
-them once.  With L and R the left and right period words and
+entries from one `vectors.window`; for each cyclic factor Z_{n_i} of G it
+evaluates the formulas on that factor's plain int residues, summing S only
+for the letters that read it, and reduces each output mod n_i.  This is
+exact, as a Z-linear formula commutes with projecting to a factor and with
+reducing mod its modulus.  With L and R the left and right period words and
 p = lcm(|L|, |R|), S gains the constant drift delta = `vectors.drift`(h, p)
 over any p indexes past both prefixes, so the output of a letter that reads S
 has period p * order(2 * delta).  A second full output window is checked
@@ -32,8 +35,9 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
-from .groups import FinAbGroup, GroupElem
+from .groups import element_index
 from .vectors import EpVector, drift, window
 
 
@@ -163,52 +167,46 @@ def word_matrix(w: Word) -> Mat2Q:
     return out
 
 
-def _shape(h: EpVector) -> tuple[int, int]:
-    """(max prefix length, lcm of period lengths) of a vector."""
-    k0 = max(len(h.right_prefix), len(h.left_prefix))
-    p = math.lcm(len(h.right_period), len(h.left_period))
-    return k0, p
-
-
-def _materialize(group: FinAbGroup, fn, k0: int, period: int) -> EpVector:
-    """Build a vector from an entry function, verifying one extra window."""
-    m = k0 + 2 * period
-
-    def side(sign: int):
-        vals = [fn(sign * k) for k in range(1, m + 1)]
-        if vals[k0 + period : k0 + 2 * period] != vals[k0 : k0 + period]:
-            raise RuntimeError(
-                "internal error: synthesized tail failed its window check"
-            )
-        return tuple(vals[:k0]), tuple(vals[k0 : k0 + period])
-
-    rpre, rper = side(1)
-    lpre, lper = side(-1)
-    return EpVector(group, rpre, rper, lpre, lper)
-
-
 def _act(h: EpVector, entries, grow: int, drifts: bool) -> EpVector:
-    """The kernel behind every letter: shape, one window, materialize.
+    """The kernel behind every letter: shape, one window, one pass per factor.
 
-    `entries(e, s)` returns the output entry function k -> h'_k, where e(k)
-    is the input entry h_k and s[t] = S(t).  The output prefix is at most
-    `grow` longer than the input's, and an output entry reads input entries
-    at most `grow` indexes further out.  Only letters that read S (`drifts`)
-    get the running sums, and they multiply the period by order(2 * delta).
+    `entries(e, s, n)` returns the output entry function k -> h'_k on the
+    int residues of one cyclic factor Z_n: e[k] is the residue of h_k (a
+    negative k indexes from the end) and s[t] that of S(t).  The formulas
+    are Z-linear, so their values mod n are exactly that factor's residues
+    of the group-element results.  The output prefix is at most `grow`
+    longer than the input's, and an output entry reads input entries at most
+    `grow` indexes further out.  Only letters that read S (`drifts`) get the
+    running sums, and they multiply the period by order(2 * delta).
     """
-    k0, p = _shape(h)
+    k0 = max(len(h.right_prefix), len(h.left_prefix)) + grow
+    p = math.lcm(len(h.right_period), len(h.left_period))
     period = p
     if drifts:
         period *= drift(h, p).scale(2).order()
-    k0 += grow
-    m = k0 + 2 * period + grow
+    side_len = k0 + 2 * period
+    m = side_len + grow
     w = window(h, m)
-    sums = None
-    if drifts:
-        sums = [w[m]]  # S(0) = h_0 = 0
-        for j in range(1, m + 1):
-            sums.append(sums[-1] + (w[m - j] - w[m + j]))
-    return _materialize(h.group, entries(lambda k: w[m + k], sums), k0, period)
+    w = w[m:] + w[:m]
+    ks = [*range(1, side_len + 1), *range(-1, -side_len - 1, -1)]
+    columns = []
+    for i, n in enumerate(h.group.moduli):
+        e = [x.residues[i] for x in w]
+        s = None
+        if drifts:
+            s = list(accumulate((e[-j] - e[j] for j in range(1, m + 1)), initial=0))
+        fn = entries(e, s, n)
+        columns.append([fn(k) % n for k in ks])
+    elems, index = element_index(h.group)
+    vals = [elems[index[r]] for r in zip(*columns)]
+    words = []
+    for side in (vals[:side_len], vals[side_len:]):
+        if side[k0 + period :] != side[k0 : k0 + period]:
+            raise RuntimeError(
+                "internal error: synthesized tail failed its window check"
+            )
+        words += [tuple(side[:k0]), tuple(side[k0 : k0 + period])]
+    return EpVector(h.group, *words)
 
 
 def _reflect(h: EpVector) -> EpVector:
@@ -218,50 +216,50 @@ def _reflect(h: EpVector) -> EpVector:
     )
 
 
-def _p1_entries(e, s):
-    return lambda k: e(-k) + s[k - 1 if k > 0 else -k].scale(2)
+def _p1_entries(e, s, n):
+    return lambda k: e[-k] + 2 * s[k - 1 if k > 0 else -k]
 
 
-def _p2_entries(e, s):
-    def fn(k: int) -> GroupElem:
+def _p2_entries(e, s, n):
+    def fn(k: int) -> int:
         if k == -1:
-            return e(-1)
+            return e[-1]
         a = abs(k)
-        return e(-1) + e(-k - 1) + e(-a).scale(2) + s[a - 1].scale(2)
+        return e[-1] + e[-k - 1] + 2 * e[-a] + 2 * s[a - 1]
 
     return fn
 
 
-def _p2_inv_entries(e, s):
-    def fn(k: int) -> GroupElem:
+def _p2_inv_entries(e, s, n):
+    def fn(k: int) -> int:
         if k == -1:
-            return e(-1)
-        return s[k if k > 0 else -k - 1].scale(-2) - e(-1) - e(-k - 1)
+            return e[-1]
+        return -2 * s[k if k > 0 else -k - 1] - e[-1] - e[-k - 1]
 
     return fn
 
 
-def _h_pow_entries(e, n: int):
+def _h_pow_entries(e, n: int, mod: int):
     """H^n for n >= 1: h'_k = h_{k-n} + c outside 1..n, c = sum 2^(n-j) h_{-j}.
 
     The head h'_k = c - 2 h_{k-n-1} - T_k (1 <= k <= n) uses the running term
-    T_n = 0, T_{k-1} = 2 T_k + 3 h_{k-n-1}; c is summed by Horner.
+    T_n = 0, T_{k-1} = 2 T_k + 3 h_{k-n-1}; c is summed by Horner.  Both are
+    kept mod `mod`, as they would otherwise grow to about 2^n.
     """
-    zero = e(0)  # h_0 = 0
-    c = zero
+    c = 0
     for j in range(1, n + 1):
-        c = c.scale(2) + e(-j)
-    head = [zero] * n
-    t = zero
+        c = (2 * c + e[-j]) % mod
+    head = [0] * n
+    t = 0
     for k in range(n, 0, -1):
-        x = e(k - n - 1)
-        head[k - 1] = c - x.scale(2) - t
-        t = t.scale(2) + x.scale(3)
+        x = e[k - n - 1]
+        head[k - 1] = c - 2 * x - t
+        t = (2 * t + 3 * x) % mod
 
-    def fn(k: int) -> GroupElem:
+    def fn(k: int) -> int:
         if 1 <= k <= n:
             return head[k - 1]
-        return e(k - n) + c
+        return e[k - n] + c
 
     return fn
 
@@ -271,7 +269,7 @@ def _h_pow(h: EpVector, n: int) -> EpVector:
         return h
     if n < 0:
         return _reflect(_h_pow(_reflect(h), -n))
-    return _act(h, lambda e, s: _h_pow_entries(e, n), n + 2, False)
+    return _act(h, lambda e, s, mod: _h_pow_entries(e, n, mod), n + 2, False)
 
 
 def act_p1(h: EpVector) -> EpVector:

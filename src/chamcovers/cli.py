@@ -63,7 +63,7 @@ def _cmd_act(args) -> int:
 def _cmd_index(args) -> int:
     h = _vector(args)
     verdict = decide_finite_index(h)
-    idx = veech_index(h) if verdict.finite else None
+    idx = veech_index(h, verdict)
     report = {
         "finite": verdict.finite,
         "index": idx,

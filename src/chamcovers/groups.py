@@ -217,7 +217,8 @@ def span(group: FinAbGroup, gens=()) -> Subgroup:
             raise ValueError("generator lives in a different group")
         if len(elems) < order:
             elems = _extend_span(group.moduli, elems, g.residues)
-    return Subgroup(group, frozenset(GroupElem(group, r) for r in elems))
+    interned, index = element_index(group)
+    return Subgroup(group, frozenset(interned[index[r]] for r in elems))
 
 
 @cache

@@ -22,7 +22,7 @@ from .action import (
     act_p2_inv,
     simplify_word,
 )
-from .finite_index import decide_finite_index
+from .finite_index import IndexVerdict, decide_finite_index
 from .vectors import EpVector, VectorClass, canonical_class, format_vector
 
 
@@ -97,15 +97,16 @@ def orbit_bfs(h: EpVector, cap: int = 10000) -> SchreierGraph:
 _HARD_CAP = 2**21
 
 
-def veech_index(h: EpVector) -> int | None:
+def veech_index(h: EpVector, verdict: IndexVerdict | None = None) -> int | None:
     """The index of the cover's symmetry group, or None when infinite.
 
-    The relation decision gives the verdict.  A finite one is then checked by
-    a single orbit search capped at _HARD_CAP vertices: the index is the
-    order of the closed orbit, and an orbit that does not close means the
-    two routes disagree.
+    The relation decision gives the verdict (pass it when already made).  A
+    finite one is then checked by one orbit search capped at _HARD_CAP
+    vertices: the index is the order of the closed orbit, and an orbit that
+    does not close means the two routes disagree.
     """
-    verdict = decide_finite_index(h)
+    if verdict is None:
+        verdict = decide_finite_index(h)
     if not verdict.finite:
         return None
     graph = orbit_bfs(h, _HARD_CAP)

@@ -214,6 +214,57 @@ def oracle_canonical_class(h: EpVector) -> VectorClass:
     return VectorClass(min(images, key=EpVector.key))
 
 
+def oracle_image(h: EpVector, oracle) -> EpVector:
+    """The vector with entries oracle(k), read off a fixed window.
+
+    A parabolic letter lengthens the prefixes by at most 2 and multiplies
+    the period lcm(|L|, |R|) by the order of an element, which divides the
+    group's exponent; one further period is checked to repeat.
+    """
+    exponent = math.lcm(*h.group.moduli)
+    k0 = max(len(h.right_prefix), len(h.left_prefix)) + 2
+    p = math.lcm(len(h.right_period), len(h.left_period)) * exponent
+    words = []
+    for sign in (1, -1):
+        vals = [oracle(sign * k) for k in range(1, k0 + 2 * p + 1)]
+        assert vals[k0 + p :] == vals[k0 : k0 + p]
+        words += [tuple(vals[:k0]), tuple(vals[k0 : k0 + p])]
+    return EpVector(h.group, *words)
+
+
+def oracle_orbit_bfs(h: EpVector, cap: int):
+    """Breadth-first orbit search run on the window oracles of the four
+    parabolic moves and on `oracle_canonical_class`.
+
+    Returns (representatives, p1_edges, p2_edges, cap_hit) in the layout of
+    `orbit_bfs`: moves in the order P1, P1^-1, P2, P2^-1, and a vertex that
+    was never expanded has None edges.
+    """
+    moves = (oracle_p1, oracle_p1_inv, oracle_p2, oracle_p2_inv)
+    reps = [oracle_canonical_class(h).representative]
+    index = {reps[0]: 0}
+    p1, p2 = {}, {}
+    cap_hit = False
+    i = 0
+    while i < len(reps) and not cap_hit:
+        rep = reps[i]
+        for move, forward in zip(moves, (p1, None, p2, None)):
+            img = oracle_image(rep, lambda k: move(rep, k))
+            cls = oracle_canonical_class(img).representative
+            j = index.get(cls)
+            if j is None:
+                if len(reps) >= cap:
+                    cap_hit = True
+                    break
+                j = index[cls] = len(reps)
+                reps.append(cls)
+            if forward is not None:
+                forward[i] = j
+        i += 1
+    edges = lambda d: tuple(d.get(v) for v in range(len(reps)))
+    return tuple(reps), edges(p1), edges(p2), cap_hit
+
+
 def oracle_span_order(group: FinAbGroup, gens) -> int:
     """Order of the subgroup generated by gens, closed with GroupElem arithmetic."""
     elems = {group.zero()}

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from chamcovers import (
     MAX_WORD_EXPONENT,
+    FinAbGroup,
     GeneratorLetter,
     Word,
     WordParseError,
@@ -48,6 +49,7 @@ V4 = parse_group("Z2xZ2")
 GROUPS = [Z2, Z3, Z4, V4]
 # The random differential test also draws larger and mixed groups.
 WIDE_GROUPS = GROUPS + [parse_group(g) for g in ("Z5", "Z6", "Z2xZ4", "Z3xZ3")]
+PRODUCT_GROUPS = [parse_group(g) for g in ("Z2xZ4", "Z3xZ3", "Z2xZ2xZ2")]
 
 ACTIONS = [
     (act_p1, oracle_p1),
@@ -153,17 +155,45 @@ def test_h_equals_neg_p1_p2():
 
 def test_h_pow_equals_iteration():
     rng = random.Random(404)
-    for group in GROUPS:
+    for group in GROUPS + PRODUCT_GROUPS[:1]:
         for _ in range(8):
             h = random_vector(group, rng)
             out = back = h
-            for n in range(1, 6):
+            for n in range(1, 41):
                 out = act_h(out)
                 back = act_h_inv(back)
-                assert act_h_pow(h, n) == out
-                assert act_h_pow(h, -n) == back
+                if n <= 5 or n == 40:
+                    assert act_h_pow(h, n) == out
+                    assert act_h_pow(h, -n) == back
             assert act_h_pow(h, 0) == h
             assert act_h_pow(act_h_pow(h, 3), -3) == h
+
+
+def test_outputs_are_reduced_per_factor_over_product_groups():
+    # The kernel runs once per cyclic factor on plain ints and reduces each
+    # output entry mod that factor's modulus.
+    rng = random.Random(4242)
+    for group in PRODUCT_GROUPS:
+        for _ in range(8):
+            h = random_vector(group, rng)
+            for act, oracle in ACTIONS:
+                out = act(h)
+                for e in out.letters():
+                    assert all(0 <= r < n for r, n in zip(e.residues, group.moduli))
+                assert entries_agree(out, lambda k: oracle(h, k), radius=24)
+
+
+def test_equal_distinct_groups_give_equal_results():
+    g1, g2 = FinAbGroup((2, 4)), FinAbGroup((2, 4))
+    assert g1 is not g2
+    spec = "L=1:3,0:2|(1:1,0:1);R=0:1|(1:0,1:2,0:3)"
+    h1, h2 = parse_vector(g1, spec), parse_vector(g2, spec)
+    for act, _ in ACTIONS:
+        a, b = act(h1), act(h2)
+        assert a == b and hash(a) == hash(b)
+        assert format_vector(a) == format_vector(b)
+    a, b = act_h_pow(h1, 7), act_h_pow(h2, 7)
+    assert a == b and hash(a) == hash(b)
 
 
 def test_four_periodic_vector_fixed_by_h_squared_not_h():

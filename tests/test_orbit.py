@@ -24,7 +24,7 @@ from chamcovers import (
     veech_index,
 )
 from chamcovers.orbit import SchreierGraph
-from conftest import h_pow_fixed, random_vector
+from conftest import h_pow_fixed, oracle_orbit_bfs, random_vector
 
 Z2 = parse_group("Z2")
 Z3 = parse_group("Z3")
@@ -289,3 +289,21 @@ def test_orbit_vertices_generate_the_group():
                 assert generates(cls.representative)
     for cls in orbit_bfs(FOURP).vertices:
         assert generates(cls.representative)
+
+
+def test_orbit_bfs_matches_oracle_search_over_product_groups():
+    # The letter kernel and the refined canonical images against the window
+    # oracles and the brute-force minimum, at the level of a whole search.
+    rng = random.Random(88)
+    closed = 0
+    for spec in ("Z2xZ4", "Z3xZ3"):
+        group = parse_group(spec)
+        starts = [random_vector(group, rng) for _ in range(3)]
+        starts.append(h_pow_fixed(group, tuple(group.factor_generators())))
+        for h in starts:
+            graph = orbit_bfs(h, cap=16)
+            reps, p1, p2, cap_hit = oracle_orbit_bfs(h, cap=16)
+            assert tuple(c.representative for c in graph.vertices) == reps
+            assert (graph.p1_edges, graph.p2_edges, graph.cap_hit) == (p1, p2, cap_hit)
+            closed += graph.complete
+    assert closed >= 1
