@@ -5,23 +5,36 @@ letter H = -P1*P2, and their inverses act on eventually periodic vectors entry
 by entry.  One kernel runs every letter and synthesizes the output directly as
 prefix + period: the output entries are Z-linear in input entries and in the
 running sums S(t) = sum_{j=1..t} (-h_j + h_{-j}).  The kernel reads the input
-entries from one `vectors.window`; for each cyclic factor Z_{n_i} of G it
-evaluates the formulas on that factor's plain int residues, summing S only
-for the letters that read it, and reduces each output mod n_i.  This is
-exact, as a Z-linear formula commutes with projecting to a factor and with
-reducing mod its modulus.  With L and R the left and right period words and
-p = lcm(|L|, |R|), S gains the constant drift delta = `vectors.drift`(h, p)
-over any p indexes past both prefixes, so the output of a letter that reads S
-has period p * order(2 * delta).  A second full output window is checked
-against the first before the result is trusted.
+as one `vectors.code_window` of element codes; for each cyclic factor Z_{n_i}
+of G it evaluates the formulas on that factor's plain int residues, summing S
+only for the letters that read it, reduces each output mod n_i, and folds the
+residues back into output codes.  This is exact, as a Z-linear formula
+commutes with projecting to a factor and with reducing mod its modulus.  With
+L and R the left and right period words and p = lcm(|L|, |R|), S gains the
+constant drift delta = `vectors.drift`(h, p) over any p indexes past both
+prefixes, so the output of a letter that reads S has period
+p * order(2 * delta).  A second full output window is checked against the
+first before the result is trusted.
 
-Only P1, P2, P2^-1 and H^n (n >= 1) have entry formulas.  With the reflection
-(R h)_k = h_{-k}, which swaps the left and right words,
+The output shape, the window's residue columns and the running sums depend
+only on the input and on the letter's kind (how far it reaches, whether it
+reads S), not on its formula.  They form one frame, and the last frame is
+kept: an orbit search applies P1, P1^-1, P2 and P2^-1 to each vertex in turn,
+and the four letters share the frame built for the first.
 
-    P1^-1 = R P1 R    and    H^-n = R H^n R,
+P1, P1^-1, P2, P2^-1 and H^n (n >= 1) have entry formulas.  With the
+reflection (R h)_k = h_{-k}, which swaps the left and right words and negates
+the running sums (S_{Rh} = -S_h),
 
-and H, H^-1 are H^n at n = 1, -1.  P2^-1 keeps its own formula: it equals
-R H P2 H^-1 R, not a single reflection of P2.
+    (P1 h)_k = h_{-k} + 2 S(k - 1 if k > 0 else -k),
+
+and P1^-1 = R P1 R written out is
+
+    (P1^-1 h)_k = (P1 Rh)_{-k} = h_{-k} - 2 S(k if k > 0 else -k - 1),
+
+which reads the same frame as P1.  H^-n = R H^n R, and H, H^-1 are H^n at
+n = 1, -1.  P2^-1 keeps its own formula: it equals R H P2 H^-1 R, not a
+single reflection of P2.
 
 Words are comma-separated tokens P1, P2, -I, H with optional integer
 exponents (e.g. "P1^-2,H^3,P2"); the leftmost letter acts last.  A parsed
@@ -35,10 +48,11 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 
-from .groups import element_index
-from .vectors import EpVector, drift, window
+from .groups import residue_columns
+from .vectors import EpVector, code_window, drift
 
 
 class WordParseError(ValueError):
@@ -167,57 +181,81 @@ def word_matrix(w: Word) -> Mat2Q:
     return out
 
 
-def _act(h: EpVector, entries, grow: int, drifts: bool) -> EpVector:
-    """The kernel behind every letter: shape, one window, one pass per factor.
+@lru_cache(maxsize=1)
+def _frame(h: EpVector, grow: int, drifts: bool):
+    """The shape and input columns every letter of one kind reads at h.
 
-    `entries(e, s, n)` returns the output entry function k -> h'_k on the
-    int residues of one cyclic factor Z_n: e[k] is the residue of h_k (a
-    negative k indexes from the end) and s[t] that of S(t).  The formulas
-    are Z-linear, so their values mod n are exactly that factor's residues
-    of the group-element results.  The output prefix is at most `grow`
-    longer than the input's, and an output entry reads input entries at most
-    `grow` indexes further out.  Only letters that read S (`drifts`) get the
-    running sums, and they multiply the period by order(2 * delta).
+    Returns (k0, period, ks, columns): the output prefix length k0, the
+    output period, the output indexes ks (1..k0 + 2 period, then -1 down to
+    -(k0 + 2 period)), and per cyclic factor Z_n a column (e, s, n).  e[k]
+    is the residue of h_k (a negative k indexes from the end) and s[t] that
+    of S(t), or s is None when the letters do not read S.  The output prefix
+    is at most `grow` longer than the input's, and an output entry reads
+    input entries at most `grow` indexes further out.  Letters that read S
+    (`drifts`) multiply the period by order(2 * delta).
+
+    The last frame is kept, so P1, P1^-1, P2 and P2^-1 at one orbit vertex
+    build it once.  Its tuples are shared and never written.
     """
-    k0 = max(len(h.right_prefix), len(h.left_prefix)) + grow
-    p = math.lcm(len(h.right_period), len(h.left_period))
+    k0 = max(len(h.rpre), len(h.lpre)) + grow
+    p = math.lcm(len(h.rper), len(h.lper))
     period = p
     if drifts:
         period *= drift(h, p).scale(2).order()
     side_len = k0 + 2 * period
     m = side_len + grow
-    w = window(h, m)
+    w = code_window(h, m)
     w = w[m:] + w[:m]
-    ks = [*range(1, side_len + 1), *range(-1, -side_len - 1, -1)]
+    ks = (*range(1, side_len + 1), *range(-1, -side_len - 1, -1))
     columns = []
-    for i, n in enumerate(h.group.moduli):
-        e = [x.residues[i] for x in w]
+    for col, n in zip(residue_columns(h.group), h.group.moduli):
+        e = tuple([col[c] for c in w])
         s = None
         if drifts:
-            s = list(accumulate((e[-j] - e[j] for j in range(1, m + 1)), initial=0))
+            s = tuple(accumulate((e[-j] - e[j] for j in range(1, m + 1)), initial=0))
+        columns.append((e, s, n))
+    return k0, period, ks, tuple(columns)
+
+
+def _act(h: EpVector, entries, grow: int, drifts: bool) -> EpVector:
+    """The kernel behind every letter: one frame, one pass per factor.
+
+    `entries(e, s, n)` returns the output entry function k -> h'_k on the
+    int residues of one cyclic factor Z_n (see `_frame`).  The formulas are
+    Z-linear, so their values mod n are exactly that factor's residues of the
+    group-element results; the output codes are built factor by factor as
+    code * n + residue.
+    """
+    k0, period, ks, columns = _frame(h, grow, drifts)
+    codes = None
+    for e, s, n in columns:
         fn = entries(e, s, n)
-        columns.append([fn(k) % n for k in ks])
-    elems, index = element_index(h.group)
-    vals = [elems[index[r]] for r in zip(*columns)]
+        residues = [fn(k) % n for k in ks]
+        codes = residues if codes is None else [
+            c * n + r for c, r in zip(codes, residues)
+        ]
+    side_len = len(ks) // 2
     words = []
-    for side in (vals[:side_len], vals[side_len:]):
+    for side in (codes[:side_len], codes[side_len:]):
         if side[k0 + period :] != side[k0 : k0 + period]:
             raise RuntimeError(
                 "internal error: synthesized tail failed its window check"
             )
         words += [tuple(side[:k0]), tuple(side[k0 : k0 + period])]
-    return EpVector(h.group, *words)
+    return EpVector._from_codes(h.group, *words)
 
 
 def _reflect(h: EpVector) -> EpVector:
     """R: swap the left and right words, so (R h)_k = h_{-k}."""
-    return EpVector(
-        h.group, h.left_prefix, h.left_period, h.right_prefix, h.right_period
-    )
+    return EpVector._from_codes(h.group, h.lpre, h.lper, h.rpre, h.rper)
 
 
 def _p1_entries(e, s, n):
     return lambda k: e[-k] + 2 * s[k - 1 if k > 0 else -k]
+
+
+def _p1_inv_entries(e, s, n):
+    return lambda k: e[-k] - 2 * s[k if k > 0 else -k - 1]
 
 
 def _p2_entries(e, s, n):
@@ -277,7 +315,7 @@ def act_p1(h: EpVector) -> EpVector:
 
 
 def act_p1_inv(h: EpVector) -> EpVector:
-    return _reflect(_act(_reflect(h), _p1_entries, 2, True))
+    return _act(h, _p1_inv_entries, 2, True)
 
 
 def act_p2(h: EpVector) -> EpVector:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .groups import parse_group
-from .vectors import EpVector, window
+from .vectors import EpVector, code_window
 
 _Z2 = parse_group("Z2")
 
@@ -66,16 +66,20 @@ def expand(e: WnElement) -> EpVector:
 
 
 def is_weakly_n_periodic(h: EpVector, n: int) -> bool:
-    """Does h_{k+n} - h_k = h_n hold for every integer k?  (|G| must be 2.)"""
+    """Does h_{k+n} - h_k = h_n hold for every integer k?  (|G| must be 2.)
+
+    The only group of order 2 is Z2, whose element codes are its residues,
+    so the test runs on the code window mod 2.
+    """
     if h.group.order != 2:
         raise ValueError("weak periodicity is defined over two-element groups")
     if n < 1:
         raise ValueError("n must be >= 1")
-    m = max(len(h.right_prefix), len(h.left_prefix))
-    m += 2 * max(len(h.right_period), len(h.left_period)) + 3 * n
-    w = window(h, m)
+    m = max(len(h.rpre), len(h.lpre))
+    m += 2 * max(len(h.rper), len(h.lper)) + 3 * n
+    w = code_window(h, m)
     step = w[m + n]
-    return all(b - a == step for a, b in zip(w, w[n:]))
+    return all((b - a) % 2 == step for a, b in zip(w, w[n:]))
 
 
 def enumerate_wn(n: int) -> list[WnElement]:

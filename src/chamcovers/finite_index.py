@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .groups import residue_columns
 from .vectors import EpVector
 
 
@@ -43,9 +44,9 @@ def _one_sided_period(h: EpVector) -> int | None:
     one-sided periods exactly when both prefixes are empty, and they are the
     multiples of lcm(|R|, |L|).
     """
-    if h.right_prefix or h.left_prefix:
+    if h.rpre or h.lpre:
         return None
-    return math.lcm(len(h.right_period), len(h.left_period))
+    return math.lcm(len(h.rper), len(h.lper))
 
 
 def _relations_hold(h: EpVector, window: int) -> str | None:
@@ -54,28 +55,33 @@ def _relations_hold(h: EpVector, window: int) -> str | None:
     h is normalized with one-sided period m dividing `window`.  Then both
     relation sequences A_k = 2h_{W-k+1} - h_{W-k} and B_k = 2h_{-k-1} - h_{-k}
     (W = window) are m-periodic in k, so checking k <= min(W - 1, m) decides
-    every k in 1..W-1 and finds the same first failing k.
+    every k in 1..W-1 and finds the same first failing k.  The relations
+    are compared on each factor's int residues of the entries.
     """
-    two = lambda e: e.scale(2)
+    factors = tuple(zip(residue_columns(h.group), h.group.moduli))
+
+    def combo(*terms):
+        """Residues of the sum of c * h_k over the (c, k) terms."""
+        codes = [(c, h.code(k)) for c, k in terms]
+        return tuple(sum(c * col[x] for c, x in codes) % n for col, n in factors)
+
+    show = lambda residues: ":".join(map(str, residues))
     for k in range(1, min(window, _one_sided_period(h) + 1)):
-        lhs = two(h.entry(window - k + 1)) - h.entry(window - k)
-        rhs = two(h.entry(-k - 1)) - h.entry(-k)
+        lhs = combo((2, window - k + 1), (-1, window - k))
+        rhs = combo((2, -k - 1), (-1, -k))
         if lhs != rhs:
             return (
                 f"boundary relation failed at k={k}: "
-                f"2*h[{window - k + 1}]-h[{window - k}]={lhs} "
-                f"but 2*h[{-k - 1}]-h[{-k}]={rhs}"
+                f"2*h[{window - k + 1}]-h[{window - k}]={show(lhs)} "
+                f"but 2*h[{-k - 1}]-h[{-k}]={show(rhs)}"
             )
-    if h.entry(window) != h.entry(-1).scale(-2):
-        return (
-            f"corner relation failed: h[{window}]={h.entry(window)} "
-            f"but -2*h[-1]={h.entry(-1).scale(-2)}"
-        )
-    if h.entry(-window) != h.entry(1).scale(-2):
-        return (
-            f"corner relation failed: h[{-window}]={h.entry(-window)} "
-            f"but -2*h[1]={h.entry(1).scale(-2)}"
-        )
+    for far, near in ((window, -1), (-window, 1)):
+        lhs, rhs = combo((1, far)), combo((-2, near))
+        if lhs != rhs:
+            return (
+                f"corner relation failed: h[{far}]={show(lhs)} "
+                f"but -2*h[{near}]={show(rhs)}"
+            )
     return None
 
 
@@ -83,7 +89,7 @@ def decide_finite_index(h: EpVector) -> IndexVerdict:
     """Decide finite vs. infinite index for the cover encoded by h."""
     m = _one_sided_period(h)
     if m is None:
-        side = "right" if h.right_prefix else "left"
+        side = "right" if h.rpre else "left"
         return IndexVerdict(
             finite=False,
             minimal_period=None,

@@ -232,6 +232,18 @@ def element_index(group: FinAbGroup):
     return elems, {e.residues: i for i, e in enumerate(elems)}
 
 
+@cache
+def residue_columns(group: FinAbGroup) -> tuple[tuple[int, ...], ...]:
+    """Column i lists factor i's residue of every element, indexed by code.
+
+    Codes are mixed-radix numbers over `moduli`, first factor most
+    significant: the code of (r_1, ..., r_r) is (...(r_1 n_2 + r_2) n_3 ...) + r_r.
+    Over a cyclic group the code is the residue itself.
+    """
+    elems, _ = element_index(group)
+    return tuple(zip(*(e.residues for e in elems)))
+
+
 class Automorphism:
     """An additive bijection of a FinAbGroup, tabulated for fast application.
 

@@ -41,7 +41,7 @@ def accumulation_points(h: EpVector) -> tuple[frozenset, frozenset]:
 
 def minimal_n(h: EpVector) -> int:
     """The least window bound N that clears both prefixes (always >= 1)."""
-    return max(len(h.right_prefix), len(h.left_prefix)) + 1
+    return max(len(h.rpre), len(h.lpre)) + 1
 
 
 def alt_sum(h: EpVector, n_window: int) -> GroupElem:

@@ -11,6 +11,15 @@ the primitive period that spell its word.  The constructor computes it, so
 `==` and `hash` are equality of bi-infinite vectors, and a vector is
 one-sided periodic exactly when both stored prefixes are empty.
 
+The words are stored as tuples of element codes, the positions of
+`groups.element_index`, and the letter actions read and write code words
+directly.  Codes are assigned in lexicographic residue order, so comparing
+two code words compares the residue words they stand for: the normal form,
+`key()` order and therefore every canonical representative are the same as
+for words of group elements.  Group elements appear only at the public
+boundary: the constructor, the word properties, `entry`, `window`, `drift`,
+parsing and formatting.
+
 Serialization: ``L=<tail>;R=<tail>`` with ``tail := [word ["|"]] "(" word ")"``
 and ``word := elem ("," elem)*``; an element is colon-joined residues.
 Whitespace is forbidden.  Example: ``L=(0);R=1,1|(0)`` is the vector with
@@ -24,11 +33,13 @@ import re
 from dataclasses import dataclass
 
 from .groups import (
+    Automorphism,
     FinAbGroup,
     GroupElem,
     automorphisms,
     element_index,
     parse_elem,
+    residue_columns,
     span,
 )
 
@@ -37,59 +48,132 @@ class VectorParseError(ValueError):
     """Raised for a malformed vector spec string."""
 
 
-@dataclass(frozen=True)
 class EpVector:
     """One eventually periodic bi-infinite vector; any spelling is stored in
-    normal form, so two spellings of one vector compare and hash equal."""
+    normal form, so two spellings of one vector compare and hash equal.
 
-    group: FinAbGroup
-    right_prefix: tuple[GroupElem, ...]
-    right_period: tuple[GroupElem, ...]
-    left_prefix: tuple[GroupElem, ...]
-    left_period: tuple[GroupElem, ...]
+    The constructor takes the four words as group elements.  They are stored
+    as code words `rpre`, `rper`, `lpre` and `lper` (right prefix and period,
+    left prefix and period); the properties `right_prefix` ... `left_period`
+    and `entry` give them back as the interned elements of `element_index`.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.right_period or not self.left_period:
+    __slots__ = ("group", "rpre", "rper", "lpre", "lper", "_hash")
+
+    def __init__(
+        self,
+        group: FinAbGroup,
+        right_prefix: tuple[GroupElem, ...],
+        right_period: tuple[GroupElem, ...],
+        left_prefix: tuple[GroupElem, ...],
+        left_period: tuple[GroupElem, ...],
+    ) -> None:
+        if not right_period or not left_period:
             raise ValueError("periods must be nonempty")
-        if any(e.group != self.group for e in self.letters()):
-            raise ValueError("vector letter lives in a different group")
-        rpre, rper = _normal_side(self.right_prefix, self.right_period)
-        lpre, lper = _normal_side(self.left_prefix, self.left_period)
-        object.__setattr__(self, "right_prefix", rpre)
-        object.__setattr__(self, "right_period", rper)
-        object.__setattr__(self, "left_prefix", lpre)
-        object.__setattr__(self, "left_period", lper)
+        _, index = element_index(group)
+        words = []
+        for word in (right_prefix, right_period, left_prefix, left_period):
+            if any(e.group is not group and e.group != group for e in word):
+                raise ValueError("vector letter lives in a different group")
+            words.append(tuple([index[e.residues] for e in word]))
+        self._store(group, *words)
+
+    @classmethod
+    def _from_codes(cls, group: FinAbGroup, rpre, rper, lpre, lper) -> "EpVector":
+        """The vector spelled by code words already known to be in range."""
+        h = object.__new__(cls)
+        h._store(group, rpre, rper, lpre, lper)
+        return h
+
+    def _store(self, group, rpre, rper, lpre, lper) -> None:
+        rpre, rper = _normal_side(rpre, rper)
+        lpre, lper = _normal_side(lpre, lper)
+        put = object.__setattr__
+        put(self, "group", group)
+        put(self, "rpre", rpre)
+        put(self, "rper", rper)
+        put(self, "lpre", lpre)
+        put(self, "lper", lper)
+        put(self, "_hash", hash((group.moduli, rpre, rper, lpre, lper)))
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of an EpVector")
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of an EpVector")
+
+    def __reduce__(self):
+        return EpVector._from_codes, (self.group, *self.key())
+
+    @property
+    def right_prefix(self) -> tuple[GroupElem, ...]:
+        return _decode(self.group, self.rpre)
+
+    @property
+    def right_period(self) -> tuple[GroupElem, ...]:
+        return _decode(self.group, self.rper)
+
+    @property
+    def left_prefix(self) -> tuple[GroupElem, ...]:
+        return _decode(self.group, self.lpre)
+
+    @property
+    def left_period(self) -> tuple[GroupElem, ...]:
+        return _decode(self.group, self.lper)
 
     def entry(self, k: int) -> GroupElem:
         """h_k for nonzero integer k."""
+        return element_index(self.group)[0][self.code(k)]
+
+    def code(self, k: int) -> int:
+        """The code of h_k for nonzero integer k."""
         if k == 0:
             raise ValueError("entry index 0 is pinned to zero and not stored")
         if k > 0:
-            prefix, period = self.right_prefix, self.right_period
+            prefix, period = self.rpre, self.rper
             pos = k
         else:
-            prefix, period = self.left_prefix, self.left_period
+            prefix, period = self.lpre, self.lper
             pos = -k
         if pos <= len(prefix):
             return prefix[pos - 1]
         return period[(pos - len(prefix) - 1) % len(period)]
 
+    def letter_codes(self) -> tuple[int, ...]:
+        """Codes of the four words in key order."""
+        return self.rpre + self.rper + self.lpre + self.lper
+
     def letters(self) -> tuple[GroupElem, ...]:
-        return (
-            self.right_prefix + self.right_period + self.left_prefix + self.left_period
-        )
+        return _decode(self.group, self.letter_codes())
 
     def key(self):
-        """Total-order key: residue tuples of the four words."""
+        """Total-order key: the four code words, which order like the
+        words' residue tuples."""
+        return (self.rpre, self.rper, self.lpre, self.lper)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, EpVector):
+            return NotImplemented
         return (
-            tuple(e.residues for e in self.right_prefix),
-            tuple(e.residues for e in self.right_period),
-            tuple(e.residues for e in self.left_prefix),
-            tuple(e.residues for e in self.left_period),
+            self._hash == other._hash
+            and self.key() == other.key()
+            and (self.group is other.group or self.group == other.group)
         )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        return f"EpVector({self.group}, {format_vector(self)!r})"
 
     def __str__(self) -> str:
         return format_vector(self)
+
+
+def _decode(group: FinAbGroup, word) -> tuple[GroupElem, ...]:
+    """The interned elements with the given codes."""
+    elems, _ = element_index(group)
+    return tuple([elems[c] for c in word])
 
 
 def _normal_side(prefix, period) -> tuple[tuple, tuple]:
@@ -118,18 +202,26 @@ def normalize(h: EpVector) -> EpVector:
 
 
 def generates(h: EpVector) -> bool:
-    """Do the letters of h generate the whole group?"""
-    return span(h.group, h.letters()).index == 1
+    """Do the letters of h generate the whole group?  Each distinct nonzero
+    letter goes to `span` once."""
+    distinct = dict.fromkeys(h.letter_codes())
+    distinct.pop(0, None)
+    return span(h.group, _decode(h.group, distinct)).index == 1
 
 
-def window(h: EpVector, m: int) -> tuple[GroupElem, ...]:
-    """h_{-m..m} as a tuple w with w[m + k] == h_k (w[m] is h_0 = 0)."""
+def code_window(h: EpVector, m: int) -> tuple[int, ...]:
+    """Codes of h_{-m..m} as a tuple w with w[m + k] the code of h_k
+    (w[m] = 0, the code of h_0 = 0)."""
 
     def side(prefix, period):
         return (prefix + period * -(-m // len(period)))[:m]
 
-    left = side(h.left_prefix, h.left_period)
-    return left[::-1] + (h.group.zero(),) + side(h.right_prefix, h.right_period)
+    return side(h.lpre, h.lper)[::-1] + (0,) + side(h.rpre, h.rper)
+
+
+def window(h: EpVector, m: int) -> tuple[GroupElem, ...]:
+    """h_{-m..m} as a tuple w with w[m + k] == h_k (w[m] is h_0 = 0)."""
+    return _decode(h.group, code_window(h, m))
 
 
 def drift(h: EpVector, p: int) -> GroupElem:
@@ -137,11 +229,12 @@ def drift(h: EpVector, p: int) -> GroupElem:
 
     For p a multiple of lcm(|L|, |R|) this is what the running sum
     S(t) = sum_{j=1..t} (h_{-j} - h_j) gains over any p indexes past both
-    prefixes: S(t + p) - S(t).
+    prefixes: S(t + p) - S(t).  The words are summed per factor on ints.
     """
-    zero = h.group.zero()
-    left, right = sum(h.left_period, zero), sum(h.right_period, zero)
-    return left.scale(p // len(h.left_period)) - right.scale(p // len(h.right_period))
+    columns = residue_columns(h.group)
+    total = lambda word: h.group.elem([sum(col[c] for c in word) for col in columns])
+    left, right = total(h.lper), total(h.rper)
+    return left.scale(p // len(h.lper)) - right.scale(p // len(h.rper))
 
 
 def is_periodic(h: EpVector) -> int | None:
@@ -151,22 +244,18 @@ def is_periodic(h: EpVector) -> int | None:
     be empty; each side is then p-periodic for p = lcm(|L|, |R|), so only the
     seam at zero is left: h_{-p..0} must equal h_{0..p}.
     """
-    if h.right_prefix or h.left_prefix:
+    if h.rpre or h.lpre:
         return None
-    p = math.lcm(len(h.right_period), len(h.left_period))
-    w = window(h, p)
+    p = math.lcm(len(h.rper), len(h.lper))
+    w = code_window(h, p)
     return p if w[:-p] == w[p:] else None
 
 
-def apply_aut(phi, h: EpVector) -> EpVector:
-    """Apply a group automorphism letterwise."""
-    mapw = lambda w: tuple(phi(e) for e in w)
-    return EpVector(
-        h.group,
-        mapw(h.right_prefix),
-        mapw(h.right_period),
-        mapw(h.left_prefix),
-        mapw(h.left_period),
+def apply_aut(phi: Automorphism, h: EpVector) -> EpVector:
+    """Apply a group automorphism letterwise, through its code table."""
+    table = phi.codes
+    return EpVector._from_codes(
+        h.group, *(tuple([table[c] for c in word]) for word in h.key())
     )
 
 
@@ -202,10 +291,8 @@ def canonical_class(h: EpVector) -> VectorClass:
     if not generates(h):
         raise ValueError("vector letters do not generate the group")
     survivors = automorphisms(h.group)
-    _, index = element_index(h.group)
-    codes = [index[e.residues] for e in h.letters()]
     seen = {0}
-    for c in codes:
+    for c in h.letter_codes():
         if len(survivors) == 1:
             break
         if c in seen:

@@ -15,7 +15,6 @@ from chamcovers import (
     FinAbGroup,
     GroupElem,
     VectorClass,
-    apply_aut,
     automorphisms,
     generates,
     normalize,
@@ -208,10 +207,21 @@ def h_pow_fixed(group: FinAbGroup, params: tuple[GroupElem, ...]) -> EpVector:
     return normalize(EpVector(group, (), tuple(right), (), tuple(left)))
 
 
+def element_words(h: EpVector) -> tuple:
+    """The four words of h as group elements."""
+    return h.right_prefix, h.right_period, h.left_prefix, h.left_period
+
+
 def oracle_canonical_class(h: EpVector) -> VectorClass:
-    """The least key() over every normalized automorphism image, by brute force."""
-    images = (normalize(apply_aut(phi, h)) for phi in automorphisms(h.group))
-    return VectorClass(min(images, key=EpVector.key))
+    """The image with the least residue words over every automorphism, by
+    brute force: each image maps the elements of h's words one by one and
+    is normalized by the public constructor."""
+    images = (
+        EpVector(h.group, *(tuple(phi(e) for e in w) for w in element_words(h)))
+        for phi in automorphisms(h.group)
+    )
+    key = lambda v: [[e.residues for e in w] for w in element_words(v)]
+    return VectorClass(min(images, key=key))
 
 
 def oracle_image(h: EpVector, oracle) -> EpVector:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from chamcovers import (
     MAX_WORD_EXPONENT,
+    EpVector,
     FinAbGroup,
     GeneratorLetter,
     Word,
@@ -29,6 +30,7 @@ from chamcovers import (
     parse_word,
     word_matrix,
 )
+from chamcovers.action import _frame, _reflect
 from conftest import (
     entries_agree,
     oracle_h,
@@ -194,6 +196,66 @@ def test_equal_distinct_groups_give_equal_results():
         assert format_vector(a) == format_vector(b)
     a, b = act_h_pow(h1, 7), act_h_pow(h2, 7)
     assert a == b and hash(a) == hash(b)
+
+
+def test_direct_p1_inverse_equals_reflected_p1():
+    # P1^-1 has its own entry formula, R P1 R written out.
+    rng = random.Random(2024)
+    for group in [Z2, Z3, Z4] + PRODUCT_GROUPS[:2]:
+        for _ in range(40):
+            h = random_vector(group, rng)
+            assert act_p1_inv(h) == _reflect(act_p1(_reflect(h))), format_vector(h)
+
+
+P_LETTERS = (act_p1, act_p1_inv, act_p2, act_p2_inv)
+
+
+def test_p_letters_at_one_vertex_build_one_frame():
+    h = parse_vector(parse_group("Z2xZ4"), "L=1:3,0:2|(1:1,0:1);R=0:1|(1:0,1:2,0:3)")
+    _frame.cache_clear()
+    for act in P_LETTERS:
+        act(h)
+    info = _frame.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+def same_codes(group, h):
+    """The vector over `group` spelled with the code words of h."""
+    elems = list(group.elements())
+    return EpVector(group, *(tuple(elems[c] for c in word) for word in h.key()))
+
+
+def test_shared_frame_never_leaks_between_inputs():
+    g1, g2 = FinAbGroup((2, 4)), FinAbGroup((2, 4))
+    spec = "L=1:3,0:2|(1:1,0:1);R=0:1|(1:0,1:2,0:3)"
+    h1, h2 = parse_vector(g1, spec), parse_vector(g2, spec)
+    rng = random.Random(17)
+    z4 = random_vector(Z4, rng)
+    calls = []
+    # Equal but distinct vectors, interleaved.
+    for act in P_LETTERS:
+        calls += [(act, h1), (act, h2)]
+    # Equal code words over two groups of the same order.
+    for small, other in ((z4, V4), (h1, parse_group("Z8"))):
+        twin = same_codes(other, small)
+        assert twin.key() == small.key() and twin != small
+        for act in P_LETTERS:
+            calls += [(act, small), (act, twin)]
+    # H^n, then P1, on the same vector.
+    h = random_vector(Z3, rng)
+    calls += [
+        (act_h, h),
+        (act_p1, h),
+        (lambda v: act_h_pow(v, 3), h),
+        (act_p1, h),
+        (lambda v: act_h_pow(v, -2), h),
+        (act_p1_inv, h),
+        (act_p2, h),
+    ]
+    results = [act(v) for act, v in calls]
+    for (act, v), got in zip(calls, results):
+        _frame.cache_clear()
+        assert got == act(v) and got.group is v.group
 
 
 def test_four_periodic_vector_fixed_by_h_squared_not_h():

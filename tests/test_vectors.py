@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from chamcovers import (
     EpVector,
+    FinAbGroup,
     VectorParseError,
     canonical_class,
     format_vector,
@@ -17,6 +20,7 @@ from chamcovers import (
     parse_vector,
     span,
 )
+from chamcovers.groups import element_index
 from chamcovers.vectors import drift, window
 from conftest import (
     oracle_canonical_class,
@@ -294,3 +298,73 @@ def test_generates_matches_span_and_element_closure():
         assert generates(h) == full == (span(h.group, letters).index == 1)
         verdicts.add(full)
     assert verdicts == {False, True}
+
+
+# --- storage: words are kept as element codes ---
+
+
+def test_public_constructor_rejects_foreign_letters_and_empty_periods():
+    zero = Z2.elem(0)
+    for words in (
+        ((Z3.elem(1),), (zero,), (), (zero,)),
+        ((), (zero,), (), (zero, Z4.elem(0))),
+        ((), (V4.elem(1, 0),), (), (zero,)),
+    ):
+        with pytest.raises(ValueError, match="different group"):
+            EpVector(Z2, *words)
+    for words in (((), (), (), (zero,)), ((zero,), (zero,), (), ())):
+        with pytest.raises(ValueError, match="nonempty"):
+            EpVector(Z2, *words)
+
+
+def test_words_and_entries_are_interned_elements():
+    for h in oracle_corpus(per_group=10):
+        elems, index = element_index(h.group)
+        interned = lambda e: e is elems[index[e.residues]]
+        words = (h.right_prefix, h.right_period, h.left_prefix, h.left_period)
+        assert [len(w) for w in words] == [len(w) for w in h.key()]
+        assert all(interned(e) for w in words for e in w)
+        assert all(interned(e) for e in h.letters())
+        assert all(interned(h.entry(k)) for k in range(-9, 10) if k != 0)
+
+
+def test_vectors_over_equal_distinct_groups_compare_and_hash_equal():
+    g1, g2 = FinAbGroup((2, 4)), FinAbGroup((2, 4))
+    assert g1 is not g2
+    spec = "L=1:3,0:2|(1:1,0:1);R=0:1|(1:0,1:2,0:3)"
+    h1, h2 = parse_vector(g1, spec), parse_vector(g2, spec)
+    assert h1 == h2 and hash(h1) == hash(h2) and len({h1, h2}) == 1
+    # Letters of an equal group are accepted by the public constructor.
+    assert EpVector(g2, h1.right_prefix, h1.right_period, (), (g1.zero(),)) in {
+        EpVector(g1, h2.right_prefix, h2.right_period, (), (g2.zero(),))
+    }
+    # Equal codes over a different group of the same order are unequal.
+    z8 = FinAbGroup((8,))
+    spelled = tuple(tuple(z8.elem(c) for c in word) for word in h1.key())
+    assert EpVector(z8, *spelled).key() == h1.key()
+    assert EpVector(z8, *spelled) != h1
+
+
+def test_vectors_are_immutable_and_picklable():
+    h = parse_vector(Z3, "L=1,2|(0,2);R=(1)")
+    before = (format_vector(h), hash(h))
+    for name in ("group", "rpre", "lper", "right_prefix", "_hash", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(h, name, ())
+    with pytest.raises(AttributeError):
+        del h.rper
+    assert (format_vector(h), hash(h)) == before
+    for twin in (pickle.loads(pickle.dumps(h)), copy.deepcopy(h)):
+        assert twin == h and format_vector(twin) == before[0]
+
+
+@pytest.mark.parametrize("spec", ["Z2xZ4", "Z3xZ3"])
+def test_format_parse_round_trip_over_product_groups(spec):
+    group = parse_group(spec)
+    rng = random.Random(77)
+    for _ in range(60):
+        h = raw_vector(group, rng)
+        text = format_vector(h)
+        back = parse_vector(group, text)
+        assert back == h and back.key() == h.key()
+        assert format_vector(back) == text
