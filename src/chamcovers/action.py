@@ -36,6 +36,11 @@ which reads the same frame as P1.  H^-n = R H^n R, and H, H^-1 are H^n at
 n = 1, -1.  P2^-1 keeps its own formula: it equals R H P2 H^-1 R, not a
 single reflection of P2.
 
+Every letter is Z-linear and has a Z-linear inverse, so the output letters
+span the same subgroup of G as the input letters.  An output therefore
+generates G exactly when its input does, and the kernel and the reflection
+pass the input's remembered `vectors.generates` answer on to their output.
+
 Words are comma-separated tokens P1, P2, -I, H with optional integer
 exponents (e.g. "P1^-2,H^3,P2"); the leftmost letter acts last.  A parsed
 word's exponents may sum to at most MAX_WORD_EXPONENT in absolute value.
@@ -242,12 +247,17 @@ def _act(h: EpVector, entries, grow: int, drifts: bool) -> EpVector:
                 "internal error: synthesized tail failed its window check"
             )
         words += [tuple(side[:k0]), tuple(side[k0 : k0 + period])]
-    return EpVector._from_codes(h.group, *words)
+    return EpVector._from_codes(h.group, *words, h._gen)
 
 
 def _reflect(h: EpVector) -> EpVector:
-    """R: swap the left and right words, so (R h)_k = h_{-k}."""
-    return EpVector._from_codes(h.group, h.lpre, h.lper, h.rpre, h.rper)
+    """R: swap the left and right words, so (R h)_k = h_{-k}.
+
+    Each side of h is already in normal form, so the swap is stored as is.
+    """
+    return EpVector._from_normal_codes(
+        h.group, h.lpre, h.lper, h.rpre, h.rper, h._gen
+    )
 
 
 def _p1_entries(e, s, n):

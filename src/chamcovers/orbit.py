@@ -52,7 +52,20 @@ class SchreierGraph:
 
 
 def orbit_bfs(h: EpVector, cap: int = 10000) -> SchreierGraph:
-    """Breadth-first closure of the class of h under both parabolic moves."""
+    """Breadth-first closure of the class of h under both parabolic moves.
+
+    Each vertex is expanded by P1, P1^-1, P2 and P2^-1 in turn, and each
+    undirected edge is computed once.  The letter formulas are Z-linear and
+    an automorphism acts letterwise and additively, so the letters commute
+    with automorphisms and act on classes, where P1^-1 and P2^-1 are the
+    inverses of P1 and P2.  A computed move P1(i) = j thus also gives
+    P1^-1(j) = i (and P1^-1(i) = j gives P1(j) = i, likewise for P2); that
+    known move is taken without acting or canonicalizing.  A known move
+    never finds a new class, so the cap falls on the same move as when every
+    move is computed.  The edge arrays record the moves made while expanding
+    a vertex: an unexpanded vertex has None edges, even when its edge is
+    known from the other end.
+    """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     start = canonical_class(h)
@@ -60,28 +73,29 @@ def orbit_bfs(h: EpVector, cap: int = 10000) -> SchreierGraph:
     vertices: list[VectorClass] = [start]
     p1_map: dict[int, int] = {}
     p2_map: dict[int, int] = {}
+    # known[m][i] is the target of move m at vertex i when the inverse move
+    # already computed it; the moves are numbered so that m ^ 1 is m's inverse.
+    known: tuple[dict[int, int], ...] = ({}, {}, {}, {})
+    moves = ((act_p1, p1_map), (act_p1_inv, None), (act_p2, p2_map), (act_p2_inv, None))
     queue: deque[int] = deque([0])
     cap_hit = False
     while queue and not cap_hit:
         i = queue.popleft()
         rep = vertices[i].representative
-        images = (
-            (act_p1(rep), p1_map),
-            (act_p1_inv(rep), None),
-            (act_p2(rep), p2_map),
-            (act_p2_inv(rep), None),
-        )
-        for img, forward in images:
-            cls = canonical_class(img)
-            j = index.get(cls)
+        for m, (act, forward) in enumerate(moves):
+            j = known[m].pop(i, None)
             if j is None:
-                if len(vertices) >= cap:
-                    cap_hit = True
-                    break
-                j = len(vertices)
-                index[cls] = j
-                vertices.append(cls)
-                queue.append(j)
+                cls = canonical_class(act(rep))
+                j = index.get(cls)
+                if j is None:
+                    if len(vertices) >= cap:
+                        cap_hit = True
+                        break
+                    j = len(vertices)
+                    index[cls] = j
+                    vertices.append(cls)
+                    queue.append(j)
+                known[m ^ 1][j] = i
             if forward is not None:
                 forward[i] = j
     complete = not cap_hit

@@ -20,6 +20,13 @@ for words of group elements.  Group elements appear only at the public
 boundary: the constructor, the word properties, `entry`, `window`, `drift`,
 parsing and formatting.
 
+A vector also remembers, once known, whether its letters generate G
+(`generates`).  Vectors made from another one pass the answer on: every
+letter action is Z-linear with a Z-linear inverse, so each output letter is
+a Z-combination of input letters and back, and the two letter sets span the
+same subgroup; an automorphism maps G onto G.  The remembered answer is not
+part of `==`, `hash` or `key()`.
+
 Serialization: ``L=<tail>;R=<tail>`` with ``tail := [word ["|"]] "(" word ")"``
 and ``word := elem ("," elem)*``; an element is colon-joined residues.
 Whitespace is forbidden.  Example: ``L=(0);R=1,1|(0)`` is the vector with
@@ -56,9 +63,14 @@ class EpVector:
     as code words `rpre`, `rper`, `lpre` and `lper` (right prefix and period,
     left prefix and period); the properties `right_prefix` ... `left_period`
     and `entry` give them back as the interned elements of `element_index`.
+
+    `_gen` records whether the letters generate G, or is None while not yet
+    known.  The public constructor, parsing and unpickling start at None;
+    the letter kernel, reflections and `apply_aut` copy the value of the
+    vector they read, as their outputs span what their inputs span.
     """
 
-    __slots__ = ("group", "rpre", "rper", "lpre", "lper", "_hash")
+    __slots__ = ("group", "rpre", "rper", "lpre", "lper", "_hash", "_gen")
 
     def __init__(
         self,
@@ -76,18 +88,28 @@ class EpVector:
             if any(e.group is not group and e.group != group for e in word):
                 raise ValueError("vector letter lives in a different group")
             words.append(tuple([index[e.residues] for e in word]))
-        self._store(group, *words)
+        self._store(group, *_normal_form(*words), None)
 
     @classmethod
-    def _from_codes(cls, group: FinAbGroup, rpre, rper, lpre, lper) -> "EpVector":
-        """The vector spelled by code words already known to be in range."""
+    def _from_codes(
+        cls, group: FinAbGroup, rpre, rper, lpre, lper, gen: bool | None = None
+    ) -> "EpVector":
+        """The vector spelled by code words already known to be in range.
+
+        `gen` is whether the letters generate G, when the caller knows it.
+        """
+        return cls._from_normal_codes(group, *_normal_form(rpre, rper, lpre, lper), gen)
+
+    @classmethod
+    def _from_normal_codes(
+        cls, group: FinAbGroup, rpre, rper, lpre, lper, gen: bool | None
+    ) -> "EpVector":
+        """The vector whose code words are in range and already in normal form."""
         h = object.__new__(cls)
-        h._store(group, rpre, rper, lpre, lper)
+        h._store(group, rpre, rper, lpre, lper, gen)
         return h
 
-    def _store(self, group, rpre, rper, lpre, lper) -> None:
-        rpre, rper = _normal_side(rpre, rper)
-        lpre, lper = _normal_side(lpre, lper)
+    def _store(self, group, rpre, rper, lpre, lper, gen) -> None:
         put = object.__setattr__
         put(self, "group", group)
         put(self, "rpre", rpre)
@@ -95,6 +117,7 @@ class EpVector:
         put(self, "lpre", lpre)
         put(self, "lper", lper)
         put(self, "_hash", hash((group.moduli, rpre, rper, lpre, lper)))
+        put(self, "_gen", gen)
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of an EpVector")
@@ -176,6 +199,11 @@ def _decode(group: FinAbGroup, word) -> tuple[GroupElem, ...]:
     return tuple([elems[c] for c in word])
 
 
+def _normal_form(rpre, rper, lpre, lper) -> tuple[tuple, tuple, tuple, tuple]:
+    """The normal form of the four words: each side normalized on its own."""
+    return (*_normal_side(rpre, rper), *_normal_side(lpre, lper))
+
+
 def _normal_side(prefix, period) -> tuple[tuple, tuple]:
     """The shortest prefix and primitive period spelling one side's word."""
     n, d = len(period), 1
@@ -202,11 +230,20 @@ def normalize(h: EpVector) -> EpVector:
 
 
 def generates(h: EpVector) -> bool:
-    """Do the letters of h generate the whole group?  Each distinct nonzero
-    letter goes to `span` once."""
-    distinct = dict.fromkeys(h.letter_codes())
-    distinct.pop(0, None)
-    return span(h.group, _decode(h.group, distinct)).index == 1
+    """Do the letters of h generate the whole group?
+
+    The first call on a vector sends each distinct nonzero letter to `span`
+    once and keeps the answer on that vector.  A letter image, reflection or
+    automorphism image starts with the answer of the vector it came from
+    (see `EpVector`), so an orbit search calls `span` at most once, for
+    its start.
+    """
+    if h._gen is None:
+        distinct = dict.fromkeys(h.letter_codes())
+        distinct.pop(0, None)
+        gen = span(h.group, _decode(h.group, distinct)).index == 1
+        object.__setattr__(h, "_gen", gen)
+    return h._gen
 
 
 def code_window(h: EpVector, m: int) -> tuple[int, ...]:
@@ -252,10 +289,15 @@ def is_periodic(h: EpVector) -> int | None:
 
 
 def apply_aut(phi: Automorphism, h: EpVector) -> EpVector:
-    """Apply a group automorphism letterwise, through its code table."""
+    """Apply a group automorphism letterwise, through its code table.
+
+    A letterwise bijection keeps which letters are equal, so the image of a
+    normal form is a normal form; and phi maps G onto G, so the image
+    generates G exactly when h does.
+    """
     table = phi.codes
-    return EpVector._from_codes(
-        h.group, *(tuple([table[c] for c in word]) for word in h.key())
+    return EpVector._from_normal_codes(
+        h.group, *(tuple([table[c] for c in word]) for word in h.key()), h._gen
     )
 
 

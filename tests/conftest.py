@@ -212,6 +212,12 @@ def element_words(h: EpVector) -> tuple:
     return h.right_prefix, h.right_period, h.left_prefix, h.left_period
 
 
+def public_copy(h: EpVector) -> EpVector:
+    """h rebuilt from its element words through the public constructor, so
+    the copy remembers nothing about its letters."""
+    return EpVector(h.group, *element_words(h))
+
+
 def oracle_canonical_class(h: EpVector) -> VectorClass:
     """The image with the least residue words over every automorphism, by
     brute force: each image maps the elements of h's words one by one and

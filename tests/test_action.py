@@ -24,10 +24,12 @@ from chamcovers import (
     format_vector,
     format_word,
     from_entries,
+    generates,
     normalize,
     parse_group,
     parse_vector,
     parse_word,
+    span,
     word_matrix,
 )
 from chamcovers.action import _frame, _reflect
@@ -41,7 +43,9 @@ from conftest import (
     oracle_p1_inv,
     oracle_p2,
     oracle_p2_inv,
+    public_copy,
     random_vector,
+    raw_vector,
 )
 
 Z2 = parse_group("Z2")
@@ -256,6 +260,50 @@ def test_shared_frame_never_leaks_between_inputs():
     for (act, v), got in zip(calls, results):
         _frame.cache_clear()
         assert got == act(v) and got.group is v.group
+
+
+# Every letter with its exponents, as one-argument functions of a vector.
+SPAN_LETTERS = [act for act, _ in ACTIONS] + [
+    (lambda v, n=n: act_h_pow(v, n)) for n in (2, -2, 3)
+]
+SPAN_GROUPS = [
+    parse_group(g) for g in ("Z2", "Z3", "Z4", "Z6", "Z2xZ2", "Z2xZ4", "Z3xZ3")
+]
+
+
+def span_corpus(per_group=12, seed=4242):
+    """Raw vectors over SPAN_GROUPS, many of whose letters do not generate."""
+    rng = random.Random(seed)
+    return [raw_vector(group, rng) for group in SPAN_GROUPS for _ in range(per_group)]
+
+
+def test_letters_keep_the_span_of_the_letters():
+    # Every letter is Z-linear with a Z-linear inverse, so the output letters
+    # span exactly the subgroup the input letters span.  Spans are compared
+    # directly: `generates` reads the answer a letter image inherits.
+    kinds = set()
+    for h in span_corpus():
+        before = span(h.group, h.letters()).elements
+        kinds.add(len(before) == h.group.order)
+        for act in SPAN_LETTERS:
+            assert span(h.group, act(h).letters()).elements == before, format_vector(h)
+    assert kinds == {False, True}
+
+
+def test_letter_images_and_reflections_inherit_generation():
+    for h in span_corpus(per_group=6, seed=99):
+        assert h._gen is None
+        for act in SPAN_LETTERS + [_reflect]:
+            # An input whose answer is not yet known passes that on.
+            assert act(h)._gen is None
+        gen = generates(h)
+        for act in SPAN_LETTERS + [_reflect]:
+            out = act(h)
+            if act is act_neg:
+                # -I goes through the public constructor and starts unknown.
+                assert out._gen is None
+                continue
+            assert out._gen is gen == generates(public_copy(out)), format_vector(h)
 
 
 def test_four_periodic_vector_fixed_by_h_squared_not_h():

@@ -10,6 +10,7 @@ from chamcovers import (
     canonical_class,
     classify_type,
     classify_with_reason,
+    enumerate_wn_star,
     expand,
     format_vector,
     format_word,
@@ -23,11 +24,13 @@ from chamcovers import (
     stabilizer_generators,
     veech_index,
 )
+from chamcovers import orbit
 from chamcovers.orbit import SchreierGraph
-from conftest import h_pow_fixed, oracle_orbit_bfs, random_vector
+from conftest import h_pow_fixed, oracle_orbit_bfs, public_copy, random_vector
 
 Z2 = parse_group("Z2")
 Z3 = parse_group("Z3")
+Z4 = parse_group("Z4")
 
 PARITY = parse_vector(Z2, "L=(1,0);R=(1,0)")
 FOURP = expand(WnElement(2, (0, 1)))
@@ -278,17 +281,68 @@ def test_adaptive_index_matches_direct_bfs():
 
 
 def test_orbit_vertices_generate_the_group():
-    # The search canonicalizes every image, and canonical_class refuses
-    # non-generating letters; parabolic moves keep the letters generating.
+    # Each letter is Z-linear with a Z-linear inverse, so an image's letters
+    # span what the input's letters span, and an automorphism maps G onto G:
+    # every vertex generates G, and each representative inherits that answer
+    # from the start.  A copy rebuilt through the public constructor
+    # remembers nothing, so `generates` computes the answer afresh on it.
     rng = random.Random(17)
-    for spec in ("Z2", "Z3", "Z4", "Z2xZ2", "Z2xZ4", "Z2xZ2xZ2"):
+    graphs = [orbit_bfs(FOURP)]
+    for spec in ("Z2", "Z3", "Z4", "Z6", "Z2xZ2", "Z2xZ4", "Z3xZ3", "Z2xZ2xZ2"):
         group = parse_group(spec)
-        for _ in range(3):
-            graph = orbit_bfs(random_vector(group, rng), cap=20)
-            for cls in graph.vertices:
-                assert generates(cls.representative)
-    for cls in orbit_bfs(FOURP).vertices:
-        assert generates(cls.representative)
+        graphs += [orbit_bfs(random_vector(group, rng), cap=20) for _ in range(3)]
+    for graph in graphs:
+        for cls in graph.vertices:
+            assert cls.representative._gen is True
+            assert generates(public_copy(cls.representative))
+
+
+def test_orbit_bfs_refuses_a_non_generating_start():
+    with pytest.raises(ValueError, match="do not generate"):
+        orbit_bfs(parse_vector(Z4, "L=(0);R=2|(0)"))
+
+
+# The four infinite-index probes of acceptance test 08.
+PROBES = (
+    parse_vector(Z3, "L=(0);R=1|(0)"),
+    parse_vector(Z3, "L=(1,0);R=(1,0)"),
+    parse_vector(Z4, "L=1|(0);R=2,3|(0)"),
+    parse_vector(Z4, "L=(0);R=1,1|(0)"),
+)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 7, 16])
+def test_orbit_bfs_matches_oracle_search_on_probes_cut_mid_vertex(cap):
+    # These caps stop the search while it expands a vertex.  By caps 7 and 16
+    # many moves were taken as known from their other end, and the cut must
+    # still fall on the same move as in the oracle, which computes every move.
+    for h in PROBES:
+        graph = orbit_bfs(h, cap=cap)
+        reps, p1, p2, cap_hit = oracle_orbit_bfs(h, cap=cap)
+        assert tuple(c.representative for c in graph.vertices) == reps
+        assert (graph.p1_edges, graph.p2_edges, graph.cap_hit) == (p1, p2, cap_hit)
+        assert cap_hit and graph.order == cap
+
+
+def test_complete_orbit_computes_each_edge_once(monkeypatch):
+    # Each of the 4n moves of a complete orbit of order n pairs with the
+    # inverse move at its target, and exactly one move of each pair runs.
+    calls = []
+    for name in ("act_p1", "act_p1_inv", "act_p2", "act_p2_inv"):
+        letter = getattr(orbit, name)
+        monkeypatch.setattr(
+            orbit, name, lambda h, letter=letter: calls.append(h) or letter(h)
+        )
+    starts = [PARITY, FOURP, h_pow_fixed(Z3, (Z3.elem(1), Z3.elem(2)))]
+    starts += [expand(e) for e in enumerate_wn_star(5)]
+    orders = set()
+    for h in starts:
+        calls.clear()
+        graph = orbit_bfs(h)
+        assert graph.complete
+        assert len(calls) == 2 * graph.order
+        orders.add(graph.order)
+    assert len(orders) >= 3
 
 
 def test_orbit_bfs_matches_oracle_search_over_product_groups():

@@ -10,6 +10,8 @@ from chamcovers import (
     EpVector,
     FinAbGroup,
     VectorParseError,
+    apply_aut,
+    automorphisms,
     canonical_class,
     format_vector,
     from_entries,
@@ -20,12 +22,14 @@ from chamcovers import (
     parse_vector,
     span,
 )
+from chamcovers.action import _reflect
 from chamcovers.groups import element_index
 from chamcovers.vectors import drift, window
 from conftest import (
     oracle_canonical_class,
     oracle_span_order,
     oracle_word_entry,
+    public_copy,
     random_vector,
     raw_vector,
     s_sum,
@@ -298,6 +302,43 @@ def test_generates_matches_span_and_element_closure():
         assert generates(h) == full == (span(h.group, letters).index == 1)
         verdicts.add(full)
     assert verdicts == {False, True}
+
+
+def test_generation_answer_is_kept_once_known_and_is_not_part_of_equality():
+    h = parse_vector(Z4, "L=(0);R=2,3|(0)")
+    twins = (
+        h,
+        parse_vector(Z4, format_vector(h)),
+        public_copy(h),
+        pickle.loads(pickle.dumps(h)),
+        copy.deepcopy(h),
+    )
+    assert all(t._gen is None for t in twins)
+    assert generates(h) and h._gen is True
+    assert all(t._gen is None for t in twins[1:])
+    assert all(t == h and hash(t) == hash(h) and t.key() == h.key() for t in twins)
+    low = parse_vector(Z4, "L=(0);R=2|(0)")
+    assert not generates(low) and low._gen is False
+
+
+def test_automorphism_images_and_reflections_store_the_normal_form():
+    # A letterwise bijection keeps which letters are equal and the reflection
+    # swaps two normal sides, so neither renormalizes; both equal the
+    # normalizing path on the same words.  An automorphism image inherits
+    # whether the letters generate G, as phi maps G onto G.
+    for h in oracle_corpus(per_group=30):
+        group = h.group
+        gen = generates(h)
+        rpre, rper, lpre, lper = h.key()
+        flipped = _reflect(h)
+        swapped = EpVector._from_codes(group, lpre, lper, rpre, rper)
+        assert flipped.key() == swapped.key()
+        assert flipped._gen is gen
+        for phi in automorphisms(group):
+            img = apply_aut(phi, h)
+            words = (tuple(phi.codes[c] for c in w) for w in h.key())
+            assert img.key() == EpVector._from_codes(group, *words).key()
+            assert img._gen is gen == generates(public_copy(img))
 
 
 # --- storage: words are kept as element codes ---
