@@ -8,6 +8,7 @@ stderr), 2 an orbit command could not reach a verdict within its cap.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -19,6 +20,7 @@ from .degree2 import enumerate_wn, enumerate_wn_star, count_closed_forms, orbit_
 from .finite_index import decide_finite_index
 from .groups import AutomorphismBoundError, parse_group
 from .orbit import (
+    GraphType,
     dot_from_report,
     orbit_bfs,
     orbit_report,
@@ -87,9 +89,12 @@ def _cache_path(cache_dir: str, group_spec: str, canonical: str) -> Path:
 
 
 _REPORT_KEYS = {"order", "vertices", "p1_edges", "p2_edges", "type"}
+_REPORT_TYPES = (None, *(kind.value for kind in GraphType))
 
 
-def _load_cached_report(path: Path):
+def _load_cached_report(path: Path, canonical: str):
+    """The entry at path if it is a well-formed report whose vertex 0 is
+    `canonical`; None, with a warning for a bad entry, otherwise."""
     if not path.is_file():
         return None
     try:
@@ -97,19 +102,23 @@ def _load_cached_report(path: Path):
         if not isinstance(report, dict) or not _REPORT_KEYS <= set(report):
             raise ValueError("missing keys")
         order = report["order"]
-        if not isinstance(order, int) or any(
+        if type(order) is not int or order < 1 or any(
             not isinstance(report[k], list) or len(report[k]) != order
             for k in ("vertices", "p1_edges", "p2_edges")
         ):
             raise ValueError("vertex or edge arrays do not match the order")
         if any(not isinstance(v, str) for v in report["vertices"]):
             raise ValueError("vertex labels are not strings")
+        if report["vertices"][0] != canonical:
+            raise ValueError("vertex 0 is not this vector's class")
         if any(
             type(j) is not int or not 0 <= j < order
             for k in ("p1_edges", "p2_edges")
             for j in report[k]
         ):
             raise ValueError("edge targets are not vertex numbers")
+        if report["type"] not in _REPORT_TYPES:
+            raise ValueError("unknown graph type")
         return report
     except (ValueError, OSError) as exc:
         print(f"warning: ignoring corrupted cache entry {path}: {exc}", file=sys.stderr)
@@ -137,11 +146,11 @@ def _cmd_orbit(args) -> int:
     verdict = decide_finite_index(h)
     if not verdict.finite:
         return _render(args, {"finite": False, "witness": verdict.witness}, "infinite")
-    canonical = format_vector(canonical_class(h).representative)
     cache_file = None
     if args.cache is not None:
+        canonical = format_vector(canonical_class(h).representative)
         cache_file = _cache_path(args.cache, h.group.spec(), canonical)
-        report = _load_cached_report(cache_file)
+        report = _load_cached_report(cache_file, canonical)
         # An orbit larger than the cap gets the verdict of a fresh search.
         if report is not None and report["order"] <= args.cap:
             return _render_orbit(args, report)
@@ -154,11 +163,17 @@ def _cmd_orbit(args) -> int:
         return 2
     report = orbit_report(graph)
     if cache_file is not None:
-        # Write through a temp file so no reader ever sees a partial entry.
-        cache_file.parent.mkdir(parents=True, exist_ok=True)
+        # Write through a temp file so no reader ever sees a partial entry;
+        # an unusable cache directory costs a warning, not the report.
         tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
-        tmp.write_text(_json(report))
-        os.replace(tmp, cache_file)
+        try:
+            cache_file.parent.mkdir(parents=True, exist_ok=True)
+            tmp.write_text(_json(report))
+            os.replace(tmp, cache_file)
+        except OSError as exc:
+            with contextlib.suppress(OSError):
+                tmp.unlink()
+            print(f"warning: cannot write cache entry {cache_file}: {exc}", file=sys.stderr)
     return _render_orbit(args, report)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, reduce
 
 
@@ -244,49 +244,23 @@ def residue_columns(group: FinAbGroup) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*(e.residues for e in elems)))
 
 
+@dataclass(frozen=True, slots=True)
 class Automorphism:
     """An additive bijection of a FinAbGroup, tabulated for fast application.
 
-    codes[i] is the code (see `element_index`) of the image of the element
-    with code i.
+    images[i] is the image of factor generator i, and codes[c] is the code
+    (see `element_index`) of the image of the element with code c.  Built
+    by `automorphisms`; the images determine the table, so only they are
+    compared.
     """
 
-    __slots__ = ("group", "images", "codes", "_elems", "_index")
-
-    def __init__(self, group: FinAbGroup, images: tuple[GroupElem, ...]):
-        self.group = group
-        self.images = images
-        elems, index = element_index(group)
-        moduli = group.moduli
-        # Images of all elements in code order: fold in one factor at a time,
-        # adding r * image_i (mod each n_j) for r = 0 .. n_i - 1.
-        table = [(0,) * len(moduli)]
-        for img, n in zip(images, moduli):
-            multiples = [
-                tuple([r * x % m for x, m in zip(img.residues, moduli)])
-                for r in range(n)
-            ]
-            table = [
-                tuple([(x + y) % m for x, y, m in zip(acc, step, moduli)])
-                for acc in table
-                for step in multiples
-            ]
-        self.codes = tuple(index[b] for b in table)
-        self._elems = elems
-        self._index = index
+    group: FinAbGroup
+    images: tuple[GroupElem, ...]
+    codes: tuple[int, ...] = field(compare=False)
 
     def __call__(self, a: GroupElem) -> GroupElem:
-        return self._elems[self.codes[self._index[a.residues]]]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Automorphism)
-            and self.group == other.group
-            and self.images == other.images
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.group, self.images))
+        elems, index = element_index(self.group)
+        return elems[self.codes[index[a.residues]]]
 
     def __repr__(self) -> str:
         return f"Automorphism({self.group}, {[str(x) for x in self.images]})"
@@ -356,11 +330,13 @@ def automorphisms(group: FinAbGroup) -> tuple[Automorphism, ...]:
 
     Groups of order above MAX_AUT_GROUP_ORDER, or with more than MAX_AUTOMORPHISMS
     automorphisms (counted in closed form first), are refused with
-    AutomorphismBoundError.  Candidates send each factor generator to an
-    element of the same exact order; partial choices are pruned unless the
-    chosen images span a subgroup of full expected size, which forces
-    injectivity level by level.  The table is computed once per group; a
-    refusal raises afresh each time.
+    AutomorphismBoundError.  The search sends factor generator i to each
+    element x of the same exact order n_i in turn.  At depth i it holds the
+    images of the elements of the first i factors, in code order; choosing x
+    extends that list by r * x for r < n_i, and x is kept only if the
+    extended list has no repeats, i.e. the partial map stays injective.  At
+    a leaf the list is the automorphism's code table.  The tuple is computed
+    once per group; a refusal raises afresh each time.
     """
     if group.order > MAX_AUT_GROUP_ORDER:
         raise AutomorphismBoundError(
@@ -374,23 +350,27 @@ def automorphisms(group: FinAbGroup) -> tuple[Automorphism, ...]:
             f"more than the bound {MAX_AUTOMORPHISMS}"
         )
     moduli = group.moduli
-    elems, _ = element_index(group)
+    elems, index = element_index(group)
     candidates = [[x for x in elems if x.order() == n] for n in moduli]
     found: list[Automorphism] = []
     images: list[GroupElem] = []
 
-    def rec(i: int, spanned: frozenset) -> None:
+    def rec(i: int, table: list) -> None:
         if i == len(moduli):
-            found.append(Automorphism(group, tuple(images)))
+            codes = tuple([index[b] for b in table])
+            found.append(Automorphism(group, tuple(images), codes))
             return
-        expected = math.prod(moduli[: i + 1])
         for x in candidates[i]:
-            grown = _extend_span(moduli, spanned, x.residues)
-            if len(grown) != expected:
+            grown = [
+                tuple([(a + r * b) % m for a, b, m in zip(acc, x.residues, moduli)])
+                for acc in table
+                for r in range(moduli[i])
+            ]
+            if len(set(grown)) < len(grown):
                 continue
             images.append(x)
             rec(i + 1, grown)
             images.pop()
 
-    rec(0, frozenset({(0,) * len(moduli)}))
+    rec(0, [(0,) * len(moduli)])
     return tuple(found)

@@ -21,12 +21,24 @@ from chamcovers import (
 )
 
 
+# The vector s_sum last walked, and its partial sums S(0), S(1), ...
+_s_walk: tuple[EpVector | None, list] = (None, [])
+
+
 def s_sum(h: EpVector, t: int) -> GroupElem:
-    """S(t) = sum_{j=1..t} (-h_j + h_{-j})."""
-    total = h.group.zero()
-    for j in range(1, t + 1):
-        total = total + (h.entry(-j) - h.entry(j))
-    return total
+    """S(t) = sum_{j=1..t} (-h_j + h_{-j}).
+
+    One entry-by-entry walk per vector: the partial sums of the last vector
+    asked about are kept and extended as far as t needs, and any other
+    vector starts a fresh walk, so no answer depends on the call order.
+    """
+    global _s_walk
+    if _s_walk[0] is not h:
+        _s_walk = (h, [h.group.zero()])
+    sums = _s_walk[1]
+    for j in range(len(sums), t + 1):
+        sums.append(sums[-1] + (h.entry(-j) - h.entry(j)))
+    return sums[t]
 
 
 def oracle_p1(h: EpVector, k: int) -> GroupElem:
@@ -284,10 +296,10 @@ def oracle_orbit_bfs(h: EpVector, cap: int):
 def oracle_span_order(group: FinAbGroup, gens) -> int:
     """Order of the subgroup generated by gens, closed with GroupElem arithmetic."""
     elems = {group.zero()}
-    frontier = [group.zero()]
+    frontier = set(elems)
     while frontier:
-        frontier = [a + g for a in frontier for g in gens if a + g not in elems]
-        elems.update(frontier)
+        frontier = {a + g for a in frontier for g in gens} - elems
+        elems |= frontier
     return len(elems)
 
 

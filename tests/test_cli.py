@@ -14,6 +14,8 @@ def run_cli(*args):
 
 PARITY = "L=(1,0);R=(1,0)"
 FOURP = "L=(1,1,0,0);R=(0,1,1,0)"
+# Fixed by H over Z3 (`h_pow_fixed` with parameter 1): an orbit of four classes.
+SEAMED = "L=(1,0,2);R=(2,0,1)"
 
 
 def test_act_fixed_point_exact_bytes():
@@ -88,6 +90,13 @@ def test_orbit_json_snapshot():
         '{"order":1,"vertices":["L=(1,0);R=(1,0)"],'
         '"p1_edges":[0],"p2_edges":[0],"type":"Striezel"}\n'
     )
+    # A finite-index orbit over a group other than Z2 has type null.
+    r = run_cli("orbit", "--group", "Z3", "--vector", SEAMED, "--format", "json")
+    assert r.stdout == (
+        '{"order":4,"vertices":["L=(2,0,1);R=(1,0,2)","L=(0,1,1);R=(1,1,0)",'
+        '"L=(1,1,0);R=(0,1,1)","L=(1,2,1);R=(1,2,1)"],'
+        '"p1_edges":[1,2,0,3],"p2_edges":[2,1,3,0],"type":null}\n'
+    )
 
 
 def test_orbit_text_and_infinite():
@@ -98,6 +107,16 @@ def test_orbit_text_and_infinite():
     assert lines[1] == "type Striezel"
     r = run_cli("orbit", "--group", "Z3", "--vector", PARITY)
     assert (r.returncode, r.stdout) == (0, "infinite\n")
+    # Over Z3 the type is null and the text has no type line.
+    r = run_cli("orbit", "--group", "Z3", "--vector", SEAMED)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout == (
+        "order 4\n"
+        "0 L=(2,0,1);R=(1,0,2) P1->1 P2->2\n"
+        "1 L=(0,1,1);R=(1,1,0) P1->2 P2->1\n"
+        "2 L=(1,1,0);R=(0,1,1) P1->0 P2->3\n"
+        "3 L=(1,2,1);R=(1,2,1) P1->3 P2->0\n"
+    )
 
 
 def test_orbit_dot_deterministic():
@@ -137,7 +156,15 @@ def test_orbit_cache_corrupted_entry(tmp_path):
     report = json.loads(good)
     truncated = json.dumps(dict(report, p1_edges=report["p1_edges"][:1]))
     mistyped = json.dumps(dict(report, p1_edges=["x", 7]))
-    for bad in ("{not json", truncated, mistyped):
+    one_vertex = dict(report, vertices=report["vertices"][:1], p1_edges=[0], p2_edges=[0])
+    bool_order = json.dumps(dict(one_vertex, order=True))
+    empty = json.dumps(
+        dict(report, order=0, vertices=[], p1_edges=[], p2_edges=[], type="banana")
+    )
+    bad_type = json.dumps(dict(report, type="banana"))
+    # Well-typed, but vertex 0 is the other class of the orbit.
+    other_start = json.dumps(dict(report, vertices=report["vertices"][::-1]))
+    for bad in ("{not json", truncated, mistyped, bool_order, empty, bad_type, other_start):
         entry.write_text(bad)
         again = run_cli(*args)
         assert again.returncode == 0
@@ -145,6 +172,20 @@ def test_orbit_cache_corrupted_entry(tmp_path):
         assert "corrupted cache" in again.stderr
         # The recomputed report replaced the bad entry.
         assert entry.read_text() == good
+
+
+def test_orbit_cache_unusable_directory(tmp_path):
+    # A regular file where the cache directory, or its parent, should be.
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    plain = run_cli("orbit", "--group", "Z2", "--vector", PARITY)
+    for cache in (blocker, blocker / "sub"):
+        r = run_cli("orbit", "--group", "Z2", "--vector", PARITY, "--cache", str(cache))
+        assert (r.returncode, r.stdout) == (0, plain.stdout)
+        assert r.stderr.startswith("warning: cannot write cache entry ")
+        assert "Traceback" not in r.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
+    assert blocker.read_text() == ""
 
 
 def test_orbit_cache_hit_obeys_cap(tmp_path):

@@ -3,6 +3,7 @@ import random
 import time
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from chamcovers import (
     EpVector,
@@ -13,10 +14,12 @@ from chamcovers import (
     decide_finite_index,
     expand,
     enumerate_wn,
+    generates,
     in_cn,
     is_fixed_by_h_pow,
     is_periodic,
     normalize,
+    orbit_bfs,
     parse_group,
     parse_vector,
 )
@@ -232,3 +235,28 @@ def test_long_relation_windows_finish_fast():
     assert second.checked_window == 398920
     assert second.witness == "corner relation failed: h[398920]=1 but -2*h[-1]=0"
     assert member
+
+
+# Above the largest orbit of an H^n-fixed vector with n <= 2 over these
+# groups (24 classes, over Z5).
+CLOSURE_CAP = 32
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_decision_matches_capped_orbit_closure(data):
+    group = parse_group(data.draw(st.sampled_from(["Z5", "Z6", "Z2xZ4", "Z3xZ3"])))
+    elems = list(group.elements())
+    word = lambda lo, hi: tuple(
+        data.draw(st.lists(st.sampled_from(elems), min_size=lo, max_size=hi))
+    )
+    finite = data.draw(st.booleans())
+    if finite:
+        h = h_pow_fixed(group, word(1, 2))
+    else:
+        # A prefix left after normalization rules out one-sided periodicity.
+        h = EpVector(group, word(1, 2), word(1, 3), word(0, 2), word(1, 3))
+        assume(h.right_prefix or h.left_prefix)
+    assume(generates(h))
+    graph = orbit_bfs(h, cap=CLOSURE_CAP)
+    assert decide_finite_index(h).finite == graph.complete == finite

@@ -110,13 +110,17 @@ def test_d2_type_matches_end_count_on_zero_tail_window():
     positions = [k for k in range(-6, 7) if k != 0]
     rng = random.Random(13)
     picks = {tuple(rng.getrandbits(1) for _ in positions) for _ in range(300)}
-    for bits in picks:
-        if not any(bits):
-            continue
-        entries = {
-            k: one for k, b in zip(positions, bits) if b
-        }
-        h = from_entries(Z2, entries)
+    vectors = [
+        from_entries(Z2, {k: one for k, b in zip(positions, bits) if b})
+        for bits in picks
+        if any(bits)
+    ]
+    # Mixed tails (the periods are not both (0) nor both (1)).
+    vectors += [
+        parse_vector(Z2, spec)
+        for spec in ("L=(0);R=(1)", "L=(1);R=(0)", "L=0|(1);R=(0,1)", "L=1,1|(0);R=(1,0)")
+    ]
+    for h in vectors:
         expected = 2 if classify_d2(h) == SurfaceKind.JACOBS_LADDER else 1
         assert num_ends(h) == expected
 
