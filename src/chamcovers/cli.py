@@ -147,14 +147,16 @@ def _cmd_orbit(args) -> int:
     if not verdict.finite:
         return _render(args, {"finite": False, "witness": verdict.witness}, "infinite")
     cache_file = None
+    start = h
     if args.cache is not None:
-        canonical = format_vector(canonical_class(h).representative)
+        start = canonical_class(h)
+        canonical = format_vector(start.representative)
         cache_file = _cache_path(args.cache, h.group.spec(), canonical)
         report = _load_cached_report(cache_file, canonical)
         # An orbit larger than the cap gets the verdict of a fresh search.
         if report is not None and report["order"] <= args.cap:
             return _render_orbit(args, report)
-    graph = orbit_bfs(h, cap=args.cap)
+    graph = orbit_bfs(start, cap=args.cap)
     if not graph.complete:
         print(
             f"orbit did not close within cap {args.cap}; raise --cap",

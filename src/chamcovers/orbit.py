@@ -51,8 +51,12 @@ class SchreierGraph:
         return len(self.vertices)
 
 
-def orbit_bfs(h: EpVector, cap: int = 10000) -> SchreierGraph:
+def orbit_bfs(h: EpVector | VectorClass, cap: int = 10000) -> SchreierGraph:
     """Breadth-first closure of the class of h under both parabolic moves.
+
+    h is a vector, or its class as `canonical_class` returned it, which is
+    then vertex 0 as it is: a caller that already holds the class does not
+    canonicalize the start a second time.
 
     Each vertex is expanded by P1, P1^-1, P2 and P2^-1 in turn, and each
     undirected edge is computed once.  The letter formulas are Z-linear and
@@ -68,7 +72,7 @@ def orbit_bfs(h: EpVector, cap: int = 10000) -> SchreierGraph:
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    start = canonical_class(h)
+    start = h if isinstance(h, VectorClass) else canonical_class(h)
     index: dict[VectorClass, int] = {start: 0}
     vertices: list[VectorClass] = [start]
     p1_map: dict[int, int] = {}

@@ -266,12 +266,17 @@ def drift(h: EpVector, p: int) -> GroupElem:
 
     For p a multiple of lcm(|L|, |R|) this is what the running sum
     S(t) = sum_{j=1..t} (h_{-j} - h_j) gains over any p indexes past both
-    prefixes: S(t + p) - S(t).  The words are summed per factor on ints.
+    prefixes: S(t + p) - S(t).  Each factor's residue is summed, scaled and
+    reduced on plain ints, and one element is built from the results.
     """
-    columns = residue_columns(h.group)
-    total = lambda word: h.group.elem([sum(col[c] for c in word) for col in columns])
-    left, right = total(h.lper), total(h.rper)
-    return left.scale(p // len(h.lper)) - right.scale(p // len(h.rper))
+    a, b = p // len(h.lper), p // len(h.rper)
+    return GroupElem(
+        h.group,
+        tuple([
+            (a * sum([col[c] for c in h.lper]) - b * sum([col[c] for c in h.rper])) % n
+            for col, n in zip(residue_columns(h.group), h.group.moduli)
+        ]),
+    )
 
 
 def is_periodic(h: EpVector) -> int | None:
@@ -329,6 +334,11 @@ def canonical_class(h: EpVector) -> VectorClass:
     the next letter is least, until one is left.  Automorphisms that tie on
     every letter give the same image.  Letters already seen (and zero, which
     every automorphism fixes) cannot split the survivors and are skipped.
+
+    The image is read off the surviving automorphism's code table as a key.
+    When it equals h's own key, h itself is the representative; otherwise
+    the key is stored as it is, since a letterwise image of a normal form is
+    a normal form (see `apply_aut`).
     """
     if not generates(h):
         raise ValueError("vector letters do not generate the group")
@@ -342,7 +352,11 @@ def canonical_class(h: EpVector) -> VectorClass:
         seen.add(c)
         least = min(phi.codes[c] for phi in survivors)
         survivors = [phi for phi in survivors if phi.codes[c] == least]
-    return VectorClass(apply_aut(survivors[0], h))
+    table = survivors[0].codes
+    key = tuple([tuple([table[c] for c in word]) for word in h.key()])
+    if key == h.key():
+        return VectorClass(h)
+    return VectorClass(EpVector._from_normal_codes(h.group, *key, h._gen))
 
 
 _TAIL_RE = re.compile(r"([0-9:,]*)(\|?)\(([0-9:,]*)\)")

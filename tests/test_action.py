@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -90,6 +91,32 @@ def test_h_pow_matches_window_oracle():
             for n in (1, 2, 3, 5, 12, 40):
                 out = act_h_pow(h, n)
                 assert entries_agree(out, lambda k: oracle_h_pow(h, n, k))
+
+
+def test_p2_near_entries_match_window_oracle_on_product_and_cyclic_groups():
+    # P2 and P2^-1 special-case k = -1, and their k = 1 and k = -1 rows read
+    # h_{-1}, h_{-2} and h_0 = 0 at the edges of the frame's slices.  Inputs
+    # with h_{-1} != 0, with and without a prefix, checked out to twice the
+    # output period on both sides.
+    rng = random.Random(4242)
+    for spec in ("Z5", "Z6", "Z2xZ4", "Z3xZ3"):
+        group = parse_group(spec)
+        for max_prefix in (0, 2):
+            checked = 0
+            while checked < 12:
+                h = random_vector(group, rng, max_prefix=max_prefix)
+                if h.code(-1) == 0 or (max_prefix and not (h.rpre or h.lpre)):
+                    continue
+                checked += 1
+                for act, oracle in ((act_p2, oracle_p2), (act_p2_inv, oracle_p2_inv)):
+                    out = act(h)
+                    period = math.lcm(len(out.rper), len(out.lper))
+                    radius = max(len(out.rpre), len(out.lpre)) + 2 * period + 2
+                    assert entries_agree(out, lambda k: oracle(h, k), radius), (
+                        spec,
+                        format_vector(h),
+                        act.__name__,
+                    )
 
 
 def test_p1_example_over_z3():

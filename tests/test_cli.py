@@ -188,6 +188,31 @@ def test_orbit_cache_unusable_directory(tmp_path):
     assert blocker.read_text() == ""
 
 
+def test_orbit_cache_miss_canonicalizes_the_start_once(tmp_path, monkeypatch, capsys):
+    # A cold --cache run hands the class it keyed the cache with to the
+    # search, so it makes exactly the canonicalizations of a run without
+    # --cache: the start, then P1 and P2 at the one vertex (3, not 4).
+    from chamcovers import cli, orbit, vectors
+
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return vectors.canonical_class(h)
+
+    for mod in (cli, orbit):
+        monkeypatch.setattr(mod, "canonical_class", counted)
+    args = ["orbit", "--group", "Z2", "--vector", PARITY]
+    outputs = []
+    for extra in ([], ["--cache", str(tmp_path / "cache")]):
+        calls.clear()
+        assert cli.main(args + extra) == 0
+        outputs.append((len(calls), capsys.readouterr().out))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 3
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 1
+
+
 def test_orbit_cache_hit_obeys_cap(tmp_path):
     cache = str(tmp_path / "cache")
     args = ("orbit", "--group", "Z2", "--vector", FOURP, "--cache", cache)

@@ -18,6 +18,7 @@ from chamcovers import (
     generates,
     is_periodic,
     normalize,
+    orbit_bfs,
     parse_group,
     parse_vector,
     span,
@@ -292,6 +293,32 @@ def test_canonical_class_matches_brute_force_oracle():
         assert canonical_class(h) == oracle_canonical_class(h), format_vector(h)
         checked += 1
     assert checked > 300
+
+
+def test_canonical_class_returns_a_least_representative_itself():
+    # A vector that is already the least image is its own representative, not
+    # a copy; any other input gets the oracle's representative and keeps its
+    # remembered generation answer.
+    starts = (
+        (Z3, "L=(1,0);R=(1,0)"),
+        (Z4, "L=(0);R=1,1|(0)"),
+        (parse_group("Z2xZ4"), "L=1:3,0:2|(1:1,0:1);R=0:1|(1:0,1:2,0:3)"),
+    )
+    moved = 0
+    for group, spec in starts:
+        graph = orbit_bfs(parse_vector(group, spec), cap=12)
+        for cls in graph.vertices:
+            rep = cls.representative
+            assert canonical_class(rep).representative is rep
+            for phi in automorphisms(group):
+                img = apply_aut(phi, rep)
+                if img == rep:
+                    continue
+                got = canonical_class(img)
+                assert got == oracle_canonical_class(img) == cls
+                assert got.representative._gen is img._gen is True
+                moved += 1
+    assert moved > 20
 
 
 def test_generates_matches_span_and_element_closure():
