@@ -2,7 +2,8 @@
 
 The two parabolic letters P1 and P2, the central letter -I, the hyperbolic
 letter H = -P1*P2, and their inverses act on eventually periodic vectors entry
-by entry.  One kernel runs every letter and synthesizes the output directly as
+by entry.  -I negates each letter (`vectors.apply_aut`).  One kernel runs
+every other letter and synthesizes the output directly as
 prefix + period: the output entries are Z-linear in input entries and in the
 running sums S(t) = sum_{j=1..t} (-h_j + h_{-j}).  The kernel reads the input
 as one `vectors.code_window` of element codes; for each cyclic factor Z_{n_i}
@@ -10,7 +11,7 @@ of G it evaluates the formulas on that factor's plain int residues, summing S
 only for the letters that read it, reduces each output mod n_i, and folds the
 residues back into output codes.  This is exact, as a Z-linear formula
 commutes with projecting to a factor and with reducing mod its modulus.  A
-parabolic letter's formula is one list comprehension that zips slices of
+kernel letter's formula is one list comprehension that zips slices of
 the residue and running-sum columns, laid out in output order, so no Python
 call is made per entry.  With L and R the left and right period words and
 p = lcm(|L|, |R|), S gains the constant drift delta = `vectors.drift`(h, p)
@@ -42,7 +43,7 @@ single reflection of P2.
 
 Every letter is Z-linear and has a Z-linear inverse, so the output letters
 span the same subgroup of G as the input letters.  An output therefore
-generates G exactly when its input does, and the kernel and the reflection
+generates G exactly when its input does, and every letter and the reflection
 pass the input's remembered `vectors.generates` answer on to their output.
 
 Words are comma-separated tokens P1, P2, -I, H with optional integer
@@ -61,8 +62,8 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import sub
 
-from .groups import residue_columns
-from .vectors import EpVector, code_window, drift
+from .groups import negation, residue_columns
+from .vectors import EpVector, apply_aut, code_window, drift
 
 
 class WordParseError(ValueError):
@@ -309,41 +310,29 @@ def _p2_inv_residues(e, s, n, L):
     return out
 
 
-def _h_pow_entries(e, n: int, mod: int):
-    """H^n for n >= 1: h'_k = h_{k-n} + c outside 1..n, c = sum 2^(n-j) h_{-j}.
-
-    The head h'_k = c - 2 h_{k-n-1} - T_k (1 <= k <= n) uses the running term
-    T_n = 0, T_{k-1} = 2 T_k + 3 h_{k-n-1}; c is summed by Horner.  Both are
-    kept mod `mod`, as they would otherwise grow to about 2^n.
-    """
-    c = 0
-    for j in range(1, n + 1):
-        c = (2 * c + e[-j]) % mod
-    head = [0] * n
-    t = 0
-    for k in range(n, 0, -1):
-        x = e[k - n - 1]
-        head[k - 1] = c - 2 * x - t
-        t = (2 * t + 3 * x) % mod
-
-    def fn(k: int) -> int:
-        if 1 <= k <= n:
-            return head[k - 1]
-        return e[k - n] + c
-
-    return fn
-
-
 def _h_pow(h: EpVector, n: int) -> EpVector:
     if n == 0:
         return h
     if n < 0:
         return _reflect(_h_pow(_reflect(h), -n))
 
-    def residues(e, s, mod, side_len):
-        fn = _h_pow_entries(e, n, mod)
-        ks = (*range(1, side_len + 1), *range(-1, -side_len - 1, -1))
-        return [fn(k) % mod for k in ks]
+    def residues(e, s, mod, L):
+        # H^n (n >= 1): h'_k = h_{k-n} + c outside 1..n, c = sum 2^(n-j) h_{-j}.
+        # The head h'_k = c - 2 h_{k-n-1} - T_k (1 <= k <= n) uses the running
+        # term T_n = 0, T_{k-1} = 2 T_k + 3 h_{k-n-1}.  c (by Horner) and T both
+        # read h_{-1} .. h_{-n} and are kept mod `mod`, as they would otherwise
+        # grow to about 2^n; the head is built from k = n down to 1.
+        near = e[-1 : -n - 1 : -1]
+        c = 0
+        for x in near:
+            c = (2 * c + x) % mod
+        head = []
+        t = 0
+        for x in near:
+            head.append((c - 2 * x - t) % mod)
+            t = (2 * t + 3 * x) % mod
+        tail = e[1 : L - n + 1] + e[-n - 1 : -L - n - 1 : -1]
+        return head[::-1] + [(x + c) % mod for x in tail]
 
     return _act(h, residues, n + 2, False)
 
@@ -365,14 +354,8 @@ def act_p2_inv(h: EpVector) -> EpVector:
 
 
 def act_neg(h: EpVector) -> EpVector:
-    mapw = lambda w: tuple(-e for e in w)
-    return EpVector(
-        h.group,
-        mapw(h.right_prefix),
-        mapw(h.right_period),
-        mapw(h.left_prefix),
-        mapw(h.left_period),
-    )
+    """-I: the negation automorphism of G applied letterwise."""
+    return apply_aut(negation(h.group), h)
 
 
 def act_h(h: EpVector) -> EpVector:

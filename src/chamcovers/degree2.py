@@ -58,11 +58,12 @@ def _entry(bits: tuple[int, ...], j: int) -> int:
 
 
 def expand(e: WnElement) -> EpVector:
-    """The vector of e: right period (h_1..h_2n), left period (h_-1..h_-2n)."""
+    """The vector of e: right period (h_1..h_2n), left period (h_-1..h_-2n),
+    spelled in Z2's element codes, which are its residues."""
     n = e.n
-    right = tuple(_Z2.elem(_entry(e.bits, j)) for j in range(1, 2 * n + 1))
-    left = tuple(_Z2.elem(_entry(e.bits, -j)) for j in range(1, 2 * n + 1))
-    return EpVector(_Z2, (), right, (), left)
+    right = tuple([_entry(e.bits, j) for j in range(1, 2 * n + 1)])
+    left = tuple([_entry(e.bits, -j) for j in range(1, 2 * n + 1)])
+    return EpVector._from_codes(_Z2, (), right, (), left)
 
 
 def is_weakly_n_periodic(h: EpVector, n: int) -> bool:

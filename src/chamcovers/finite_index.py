@@ -17,8 +17,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .action import act_h_pow
 from .groups import residue_columns
-from .vectors import EpVector
+from .vectors import EpVector, canonical_class
 
 
 @dataclass(frozen=True)
@@ -134,9 +135,6 @@ def is_fixed_by_h_pow(h: EpVector, n: int, level: str = "vector") -> bool:
     level "vector" compares vectors; level "class" compares automorphism
     classes.
     """
-    from .action import act_h_pow
-    from .vectors import canonical_class
-
     if n < 1:
         raise ValueError("n must be >= 1")
     if level not in ("vector", "class"):

@@ -266,6 +266,18 @@ class Automorphism:
         return f"Automorphism({self.group}, {[str(x) for x in self.images]})"
 
 
+@cache
+def negation(group: FinAbGroup) -> Automorphism:
+    """x -> -x, an automorphism of every abelian group, tabulated straight
+    from `element_index`: unlike `automorphisms`, it has no size bound."""
+    elems, index = element_index(group)
+    codes = tuple([
+        index[tuple([-r % n for r, n in zip(x.residues, group.moduli)])] for x in elems
+    ])
+    images = tuple([elems[codes[index[g.residues]]] for g in group.factor_generators()])
+    return Automorphism(group, images, codes)
+
+
 # Largest automorphism group that `automorphisms` enumerates: |Aut(Z2^4)|.
 MAX_AUTOMORPHISMS = 20160
 MAX_AUT_GROUP_ORDER = 64

@@ -54,9 +54,9 @@ class SchreierGraph:
 def orbit_bfs(h: EpVector | VectorClass, cap: int = 10000) -> SchreierGraph:
     """Breadth-first closure of the class of h under both parabolic moves.
 
-    h is a vector, or its class as `canonical_class` returned it, which is
-    then vertex 0 as it is: a caller that already holds the class does not
-    canonicalize the start a second time.
+    h is a vector or a class.  A class from `canonical_class` is vertex 0 as
+    it is, so a caller holding it does not canonicalize the start twice; any
+    other class is canonicalized from its representative.
 
     Each vertex is expanded by P1, P1^-1, P2 and P2^-1 in turn, and each
     undirected edge is computed once.  The letter formulas are Z-linear and
@@ -72,6 +72,8 @@ def orbit_bfs(h: EpVector | VectorClass, cap: int = 10000) -> SchreierGraph:
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
+    if isinstance(h, VectorClass) and not h._canonical:
+        h = h.representative
     start = h if isinstance(h, VectorClass) else canonical_class(h)
     index: dict[VectorClass, int] = {start: 0}
     vertices: list[VectorClass] = [start]

@@ -86,18 +86,17 @@ def classify_d2(h: EpVector) -> SurfaceKind:
 
     Two ends occur exactly when both tails stabilize on the same letter and
     the finitely many exceptional entries (h_0 counts as an entry) sum to
-    zero; everything else is one-ended.
+    zero; everything else is one-ended.  The only group of order 2 is Z2,
+    whose element codes are its residues, so the words are compared as codes.
     """
     if h.group.order != 2:
         raise ValueError("the two-type classification needs a two-element group")
-    zero = h.group.zero()
-    one = next(e for e in h.group.elements() if not e.is_zero())
-    prefixes = h.left_prefix + h.right_prefix
-    if h.right_period == (zero,) and h.left_period == (zero,):
-        ones = sum(1 for e in prefixes if e == one)
+    prefixes = h.lpre + h.rpre
+    if h.rper == (0,) and h.lper == (0,):
+        ones = prefixes.count(1)
         return SurfaceKind.JACOBS_LADDER if ones % 2 == 0 else SurfaceKind.LOCH_NESS
-    if h.right_period == (one,) and h.left_period == (one,):
-        zeros = sum(1 for e in prefixes if e == zero) + 1  # h_0 is zero
+    if h.rper == (1,) and h.lper == (1,):
+        zeros = prefixes.count(0) + 1  # h_0 is zero
         return SurfaceKind.JACOBS_LADDER if zeros % 2 == 0 else SurfaceKind.LOCH_NESS
     return SurfaceKind.LOCH_NESS
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import random
+from functools import lru_cache
 
 from chamcovers import (
     EpVector,
@@ -99,10 +100,17 @@ def oracle_h_inv(h: EpVector, k: int) -> GroupElem:
     return h.entry(k + 1) + h.entry(1)
 
 
-def oracle_h_pow(h: EpVector, n: int, k: int) -> GroupElem:
+@lru_cache(maxsize=64)
+def _h_pow_shift(h: EpVector, n: int) -> GroupElem:
+    """c = sum_{j=1..n} 2^(n-j) h_{-j}, which every entry of H^n h reads."""
     c = h.group.zero()
     for j in range(1, n + 1):
         c = c + h.entry(-j).scale(2 ** (n - j))
+    return c
+
+
+def oracle_h_pow(h: EpVector, n: int, k: int) -> GroupElem:
+    c = _h_pow_shift(h, n)
     if 1 <= k <= n:
         acc = c - h.entry(k - n - 1).scale(2)
         for j in range(1, n - k + 1):

@@ -35,6 +35,7 @@ from chamcovers import (
 )
 from chamcovers.action import _frame, _reflect
 from conftest import (
+    element_words,
     entries_agree,
     oracle_h,
     oracle_h_inv,
@@ -84,13 +85,19 @@ def test_actions_match_window_oracle_on_seeded_corpus():
 
 
 def test_h_pow_matches_window_oracle():
+    # H^-n = R H^n R: the oracle reads H^n of the reflected input, whose words
+    # are swapped through the public constructor, at -k.
     rng = random.Random(5150)
-    for group in GROUPS:
+    for group in WIDE_GROUPS + PRODUCT_GROUPS[2:]:
         for _ in range(10):
             h = random_vector(group, rng)
+            rpre, rper, lpre, lper = element_words(h)
+            rh = EpVector(group, lpre, lper, rpre, rper)
             for n in (1, 2, 3, 5, 12, 40):
                 out = act_h_pow(h, n)
-                assert entries_agree(out, lambda k: oracle_h_pow(h, n, k))
+                assert entries_agree(out, lambda k: oracle_h_pow(h, n, k)), group
+                out = act_h_pow(h, -n)
+                assert entries_agree(out, lambda k: oracle_h_pow(rh, n, -k)), group
 
 
 def test_p2_near_entries_match_window_oracle_on_product_and_cyclic_groups():
@@ -159,12 +166,20 @@ def test_h_shifts_single_support():
 
 
 def test_neg_is_entrywise_negation_and_involution():
-    h = parse_vector(Z3, "L=1,2|(0,2);R=(1)")
-    out = act_neg(h)
-    for k in range(-12, 13):
-        if k != 0:
-            assert out.entry(k) == -h.entry(k)
-    assert act_neg(out) == h
+    # Z67 and Z2^5 are beyond the automorphism bounds: -I never enumerates
+    # Aut(G).
+    cases = [
+        ("Z3", "L=1,2|(0,2);R=(1)"),
+        ("Z67", "L=5,66|(0,2);R=1|(33,34)"),
+        ("Z2xZ2xZ2xZ2xZ2", "L=1:0:0:0:0|(0:1:0:1:1);R=(0:0:1:1:0,1:1:1:1:1)"),
+    ]
+    for spec, text in cases:
+        h = parse_vector(parse_group(spec), text)
+        out = act_neg(h)
+        for k in range(-12, 13):
+            if k != 0:
+                assert out.entry(k) == -h.entry(k), spec
+        assert act_neg(out) == h
 
 
 def test_round_trips_on_seeded_corpus():
@@ -326,10 +341,6 @@ def test_letter_images_and_reflections_inherit_generation():
         gen = generates(h)
         for act in SPAN_LETTERS + [_reflect]:
             out = act(h)
-            if act is act_neg:
-                # -I goes through the public constructor and starts unknown.
-                assert out._gen is None
-                continue
             assert out._gen is gen == generates(public_copy(out)), format_vector(h)
 
 
