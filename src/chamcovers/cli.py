@@ -76,10 +76,10 @@ def _cmd_index(args) -> int:
     return _render(args, report, str(idx) if verdict.finite else "infinite")
 
 
-# Part of every cache key: the report layout and the canonical form of the
+# Part of every cache key: the entry layout and the canonical form of the
 # class that names the entry (least key() over normalized automorphism
 # images).  Change it whenever either changes, so old entries are not reused.
-_CACHE_VERSION = "orbit-report 1; canonical lexmin-aut-image 1"
+_CACHE_VERSION = "orbit-report 2; canonical lexmin-aut-image 1"
 
 
 def _cache_path(cache_dir: str, group_spec: str, canonical: str) -> Path:
@@ -93,12 +93,17 @@ _REPORT_TYPES = (None, *(kind.value for kind in GraphType))
 
 
 def _load_cached_report(path: Path, canonical: str):
-    """The entry at path if it is a well-formed report whose vertex 0 is
-    `canonical`; None, with a warning for a bad entry, otherwise."""
+    """The entry at path if its report matches the digest on its first line
+    and is well formed with vertex 0 `canonical`; None, with a warning for a
+    bad entry, otherwise.  A forgery signed with a fresh digest is only
+    checked for its shape."""
     if not path.is_file():
         return None
     try:
-        report = json.loads(path.read_text())
+        digest, _, body = path.read_text().partition("\n")
+        if hashlib.sha256(body.encode()).hexdigest() != digest:
+            raise ValueError("the report does not match its digest")
+        report = json.loads(body)
         if not isinstance(report, dict) or not _REPORT_KEYS <= set(report):
             raise ValueError("missing keys")
         order = report["order"]
@@ -147,16 +152,14 @@ def _cmd_orbit(args) -> int:
     if not verdict.finite:
         return _render(args, {"finite": False, "witness": verdict.witness}, "infinite")
     cache_file = None
-    start = h
     if args.cache is not None:
-        start = canonical_class(h)
-        canonical = format_vector(start.representative)
+        canonical = format_vector(canonical_class(h).representative)
         cache_file = _cache_path(args.cache, h.group.spec(), canonical)
         report = _load_cached_report(cache_file, canonical)
         # An orbit larger than the cap gets the verdict of a fresh search.
         if report is not None and report["order"] <= args.cap:
             return _render_orbit(args, report)
-    graph = orbit_bfs(start, cap=args.cap)
+    graph = orbit_bfs(h, cap=args.cap)
     if not graph.complete:
         print(
             f"orbit did not close within cap {args.cap}; raise --cap",
@@ -170,7 +173,9 @@ def _cmd_orbit(args) -> int:
         tmp = cache_file.with_name(f"{cache_file.name}.{os.getpid()}.tmp")
         try:
             cache_file.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(_json(report))
+            body = _json(report)
+            digest = hashlib.sha256(body.encode()).hexdigest()
+            tmp.write_text(f"{digest}\n{body}")
             os.replace(tmp, cache_file)
         except OSError as exc:
             with contextlib.suppress(OSError):

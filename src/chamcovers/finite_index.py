@@ -29,13 +29,16 @@ class IndexVerdict:
     minimal_period is the minimal simultaneous one-sided period (present
     exactly when the verdict is finite); checked_window is the relation
     window that was verified (0 when the vector is not one-sided periodic);
-    witness describes the first failed requirement on infinite verdicts.
+    witness, the first failed requirement, is None on finite verdicts.
     """
 
-    finite: bool
     minimal_period: int | None
     checked_window: int
     witness: str | None
+
+    @property
+    def finite(self) -> bool:
+        return self.witness is None
 
 
 def _one_sided_period(h: EpVector) -> int | None:
@@ -92,19 +95,16 @@ def decide_finite_index(h: EpVector) -> IndexVerdict:
     if m is None:
         side = "right" if h.rpre else "left"
         return IndexVerdict(
-            finite=False,
             minimal_period=None,
             checked_window=0,
             witness=f"not one-sided periodic: nonempty {side} prefix after normalization",
         )
     window = math.lcm(m, h.group.order)
     witness = _relations_hold(h, window)
-    if witness is not None:
-        return IndexVerdict(
-            finite=False, minimal_period=None, checked_window=window, witness=witness
-        )
     return IndexVerdict(
-        finite=True, minimal_period=m, checked_window=window, witness=None
+        minimal_period=m if witness is None else None,
+        checked_window=window,
+        witness=witness,
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, reduce
 
 
@@ -248,15 +248,17 @@ def residue_columns(group: FinAbGroup) -> tuple[tuple[int, ...], ...]:
 class Automorphism:
     """An additive bijection of a FinAbGroup, tabulated for fast application.
 
-    images[i] is the image of factor generator i, and codes[c] is the code
-    (see `element_index`) of the image of the element with code c.  Built
-    by `automorphisms`; the images determine the table, so only they are
-    compared.
+    codes[c] is the code (see `element_index`) of the image of the element
+    with code c, and images[i] is the image of factor generator i, read off
+    that table.  Built by `automorphisms` and `negation`.
     """
 
     group: FinAbGroup
-    images: tuple[GroupElem, ...]
-    codes: tuple[int, ...] = field(compare=False)
+    codes: tuple[int, ...]
+
+    @property
+    def images(self) -> tuple[GroupElem, ...]:
+        return tuple([self(g) for g in self.group.factor_generators()])
 
     def __call__(self, a: GroupElem) -> GroupElem:
         elems, index = element_index(self.group)
@@ -274,8 +276,7 @@ def negation(group: FinAbGroup) -> Automorphism:
     codes = tuple([
         index[tuple([-r % n for r, n in zip(x.residues, group.moduli)])] for x in elems
     ])
-    images = tuple([elems[codes[index[g.residues]]] for g in group.factor_generators()])
-    return Automorphism(group, images, codes)
+    return Automorphism(group, codes)
 
 
 # Largest automorphism group that `automorphisms` enumerates: |Aut(Z2^4)|.
@@ -365,12 +366,11 @@ def automorphisms(group: FinAbGroup) -> tuple[Automorphism, ...]:
     elems, index = element_index(group)
     candidates = [[x for x in elems if x.order() == n] for n in moduli]
     found: list[Automorphism] = []
-    images: list[GroupElem] = []
 
     def rec(i: int, table: list) -> None:
         if i == len(moduli):
             codes = tuple([index[b] for b in table])
-            found.append(Automorphism(group, tuple(images), codes))
+            found.append(Automorphism(group, codes))
             return
         for x in candidates[i]:
             grown = [
@@ -380,9 +380,7 @@ def automorphisms(group: FinAbGroup) -> tuple[Automorphism, ...]:
             ]
             if len(set(grown)) < len(grown):
                 continue
-            images.append(x)
             rec(i + 1, grown)
-            images.pop()
 
     rec(0, [(0,) * len(moduli)])
     return tuple(found)

@@ -44,19 +44,20 @@ class SchreierGraph:
     p1_edges: tuple[int | None, ...]
     p2_edges: tuple[int | None, ...]
     complete: bool
-    cap_hit: bool
+
+    @property
+    def cap_hit(self) -> bool:
+        return not self.complete
 
     @property
     def order(self) -> int:
         return len(self.vertices)
 
 
-def orbit_bfs(h: EpVector | VectorClass, cap: int = 10000) -> SchreierGraph:
+def orbit_bfs(h: EpVector, cap: int = 10000) -> SchreierGraph:
     """Breadth-first closure of the class of h under both parabolic moves.
 
-    h is a vector or a class.  A class from `canonical_class` is vertex 0 as
-    it is, so a caller holding it does not canonicalize the start twice; any
-    other class is canonicalized from its representative.
+    Vertex 0 is `canonical_class(h)`.
 
     Each vertex is expanded by P1, P1^-1, P2 and P2^-1 in turn, and each
     undirected edge is computed once.  The letter formulas are Z-linear and
@@ -72,9 +73,7 @@ def orbit_bfs(h: EpVector | VectorClass, cap: int = 10000) -> SchreierGraph:
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
-    if isinstance(h, VectorClass) and not h._canonical:
-        h = h.representative
-    start = h if isinstance(h, VectorClass) else canonical_class(h)
+    start = canonical_class(h)
     index: dict[VectorClass, int] = {start: 0}
     vertices: list[VectorClass] = [start]
     p1_map: dict[int, int] = {}
@@ -104,13 +103,11 @@ def orbit_bfs(h: EpVector | VectorClass, cap: int = 10000) -> SchreierGraph:
                 known[m ^ 1][j] = i
             if forward is not None:
                 forward[i] = j
-    complete = not cap_hit
     return SchreierGraph(
         vertices=tuple(vertices),
         p1_edges=tuple(p1_map.get(i) for i in range(len(vertices))),
         p2_edges=tuple(p2_map.get(i) for i in range(len(vertices))),
-        complete=complete,
-        cap_hit=cap_hit,
+        complete=not cap_hit,
     )
 
 

@@ -30,8 +30,11 @@ class EndsReport:
     n_window: int
     alt_sum: GroupElem
     g_prime: Subgroup
-    ends: int
     d2_type: SurfaceKind | None
+
+    @property
+    def ends(self) -> int:
+        return self.g_prime.index
 
 
 def accumulation_points(h: EpVector) -> tuple[frozenset, frozenset]:
@@ -107,15 +110,13 @@ def ends_report(h: EpVector) -> EndsReport:
         raise ValueError("vector letters do not generate the group")
     n_window = minimal_n(h)
     racc, lacc = accumulation_points(h)
-    g_prime = end_subgroup(h, n_window)
     kind = classify_d2(h) if h.group.order == 2 else None
     return EndsReport(
         right_acc=racc,
         left_acc=lacc,
         n_window=n_window,
         alt_sum=alt_sum(h, n_window),
-        g_prime=g_prime,
-        ends=g_prime.index,
+        g_prime=end_subgroup(h, n_window),
         d2_type=kind,
     )
 

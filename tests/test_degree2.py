@@ -25,6 +25,7 @@ from chamcovers import (
     parse_group,
     parse_vector,
     realize_rank,
+    striezel_orbits,
     veech_index,
 )
 from chamcovers.degree2 import MAX_COUNTS_N
@@ -145,7 +146,10 @@ def test_fixed_point_counts_match_enumeration():
 
 def test_striezel_count_matches_census():
     for n in range(1, 11):
-        total = sum(orbit_census(m)["striezel"] for m in range(1, n + 1) if n % m == 0)
+        divisors = [m for m in range(1, n + 1) if n % m == 0]
+        for m in divisors:
+            assert striezel_orbits(m) == orbit_census(m)["striezel"]
+        total = sum(orbit_census(m)["striezel"] for m in divisors)
         assert count_closed_forms(n)["striezel_wn"] == total
 
 

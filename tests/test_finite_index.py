@@ -196,6 +196,7 @@ def test_decision_and_cn_match_entry_walk_oracles():
     for h in _decision_corpus():
         v = decide_finite_index(h)
         finite.add(v.finite)
+        assert (v.minimal_period is None) == (not v.finite)
         g = normalize(h)
         if g.right_prefix or g.left_prefix:
             assert v.checked_window == 0 and not v.finite

@@ -16,6 +16,7 @@ from chamcovers import (
     parse_group,
     span,
 )
+from chamcovers.groups import negation
 from conftest import oracle_span_order
 
 Z2 = parse_group("Z2")
@@ -141,7 +142,11 @@ def test_automorphism_counts_cyclic():
 
 def test_automorphisms_are_bijective_homomorphisms():
     for g in (Z4, V4, Z2Z4):
+        # An automorphism is its code table: -x is found among the
+        # enumerated ones, and the generator images are read off the table.
+        assert negation(g) in automorphisms(g)
         for phi in automorphisms(g):
+            assert phi.images == tuple(phi(x) for x in g.factor_generators())
             seen = {phi(a) for a in g.elements()}
             assert len(seen) == g.order
             for a in g.elements():

@@ -5,7 +5,6 @@ import pytest
 
 from chamcovers import (
     GraphType,
-    VectorClass,
     WnElement,
     act_word,
     canonical_class,
@@ -140,7 +139,7 @@ def test_classify_rejects_non_degree_two():
 def _graph(p1, p2):
     c = canonical_class(PARITY)
     return SchreierGraph(
-        vertices=(c,) * len(p1), p1_edges=p1, p2_edges=p2, complete=True, cap_hit=False
+        vertices=(c,) * len(p1), p1_edges=p1, p2_edges=p2, complete=True
     )
 
 
@@ -301,16 +300,6 @@ def test_orbit_vertices_generate_the_group():
 def test_orbit_bfs_refuses_a_non_generating_start():
     with pytest.raises(ValueError, match="do not generate"):
         orbit_bfs(parse_vector(Z4, "L=(0);R=2|(0)"))
-
-
-def test_orbit_bfs_canonicalizes_a_class_start_it_did_not_get_from_canonical_class():
-    # A class built around a non-least representative must not become vertex
-    # 0 as it is, or its least image is found again as a second vertex.
-    h = parse_vector(Z3, "L=(2,0);R=(2,0)")
-    graph = orbit_bfs(VectorClass(h), cap=50)
-    assert graph == orbit_bfs(h, cap=50)
-    assert format_vector(graph.vertices[0].representative) == "L=(1,0);R=(1,0)"
-    assert len(set(graph.vertices)) == graph.order
 
 
 # The four infinite-index probes of acceptance test 08.
