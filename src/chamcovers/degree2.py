@@ -28,6 +28,12 @@ DEFAULT_CENSUS_BOUND = 16
 # Largest n `count_closed_forms` accepts (its counts have about 0.3 n digits),
 # and largest r - 1 `realize_rank` accepts (its vector has about 4 r entries).
 MAX_COUNTS_N = 10_000
+# Byte table turning a tuple of 0/1 ints, as bytes, into its bitstring.
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _bitstring(bits: tuple[int, ...]) -> str:
+    return bytes(bits).translate(_DIGITS).decode()
 
 
 @dataclass(frozen=True)
@@ -46,7 +52,7 @@ class WnElement:
             raise ValueError("the zero tuple does not generate the group")
 
     def bitstring(self) -> str:
-        return "".join(str(b) for b in self.bits)
+        return _bitstring(self.bits)
 
 
 def _entry(bits: tuple[int, ...], j: int) -> int:
@@ -96,26 +102,35 @@ def enumerate_wn(n: int) -> list[WnElement]:
     ]
 
 
-def _min_weak_period(e: WnElement) -> int:
-    """The least divisor m of n such that e's expansion is weakly m-periodic.
+def _star_bits(n: int) -> list[tuple[int, ...]]:
+    """The bit tuples of W_n*, in lexicographic order.
 
-    That holds exactly when the weakly m-periodic extension of the first m
-    bits reproduces all n bits, as that extension is weakly n-periodic too.
-    The extension obeys h_j = h_{j-m} + h_m, so with bits[k] = h_{k+1} the
-    test is bits[k] == bits[k - m] ^ bits[m - 1] for m <= k < n.
+    A member of W_n has minimal weak period m < n exactly when it is the
+    weakly m-periodic extension of its first m bits, for a proper divisor m
+    of n (that extension is weakly n-periodic too).  The extension obeys
+    h_j = h_{j-m} + h_m, so with bits[k] = h_{k+1} it is bits[k] =
+    bits[k - m] ^ bits[m - 1].  These extensions (2^m per divisor m, the
+    zero tuple among them) are built once, and W_n* is every other tuple.
     """
-    n, bits = e.n, e.bits
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    lower = {(0,) * n}
     for m in range(1, n):
-        if n % m == 0 and all(
-            bits[k] == bits[k - m] ^ bits[m - 1] for k in range(m, n)
-        ):
-            return m
-    return n
+        if n % m == 0:
+            for head in itertools.product((0, 1), repeat=m):
+                ext = list(head)
+                c = head[-1]
+                for k in range(m, n):
+                    ext.append(ext[k - m] ^ c)
+                lower.add(tuple(ext))
+    return [b for b in itertools.product((0, 1), repeat=n) if b not in lower]
 
 
 def enumerate_wn_star(n: int) -> list[WnElement]:
     """Members of W_n whose minimal weak period is exactly n, in bit order."""
-    return [e for e in enumerate_wn(n) if _min_weak_period(e) == n]
+    if n > DEFAULT_ENUM_BOUND:
+        raise ValueError(f"n={n} exceeds the enumeration bound {DEFAULT_ENUM_BOUND}")
+    return [WnElement(n, bits) for bits in _star_bits(n)]
 
 
 @lru_cache(maxsize=None)
@@ -134,7 +149,7 @@ def p1_bits(bits: tuple[int, ...]) -> tuple[int, ...]:
     weak n-periodicity gives h_{-k} = h_{n-k} + h_n (so h'_n = h_n).
     """
     c = bits[-1]
-    return tuple(c ^ b for b in reversed(bits[:-1])) + (c,)
+    return (*[c ^ b for b in bits[-2::-1]], c)
 
 
 def p2_bits(bits: tuple[int, ...]) -> tuple[int, ...]:
@@ -147,25 +162,31 @@ def p2_bits(bits: tuple[int, ...]) -> tuple[int, ...]:
     if len(bits) == 1:
         return bits
     c = bits[-2]
-    return tuple(c ^ b for b in reversed(bits[:-2])) + (c, bits[-1])
+    return (*[c ^ b for b in bits[-3::-1]], c, bits[-1])
 
 
-def _orbit_of(bits: tuple[int, ...]) -> tuple[frozenset, bool]:
-    """The orbit of bits under both moves, and whether a move fixes a member."""
-    seen = {bits}
-    frontier = [bits]
-    has_loop = False
-    while frontier:
-        nxt = []
-        for b in frontier:
-            for img in (p1_bits(b), p2_bits(b)):
-                if img == b:
-                    has_loop = True
-                elif img not in seen:
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-    return frozenset(seen), has_loop
+def _orbit_of(seed: tuple[int, ...]) -> tuple[set, bool]:
+    """The orbit of seed under both moves, and whether a move fixes a member.
+
+    Both moves are involutions, so the orbit is a path or a cycle whose edges
+    alternate between them.  One walk leaves the seed by P1 and alternates
+    until a move fixes its member or the walk is back at the seed; if it was
+    a path, a second walk leaves the seed by P2.  Each edge is computed once:
+    k moves for a cycle of k members, k + 1 for a path.
+    """
+    moves = (p1_bits, p2_bits)
+    seen = {seed}
+    for first in (0, 1):
+        b, i = seed, first
+        while (img := moves[i](b)) != b:
+            if img in seen:
+                if first == 0 and img == seed:
+                    return seen, False
+                raise RuntimeError("internal error: a bit move is not an involution")
+            seen.add(img)
+            b, i = img, 1 - i
+    # Both walks stopped at a member its move fixes: the orbit is a path.
+    return seen, True
 
 
 def count_closed_forms(n: int) -> dict:
@@ -198,7 +219,7 @@ def orbit_census(n: int) -> dict:
     """
     if n > DEFAULT_CENSUS_BOUND:
         raise ValueError(f"n={n} exceeds the census bound {DEFAULT_CENSUS_BOUND}")
-    star = [e.bits for e in enumerate_wn_star(n)]
+    star = _star_bits(n)
     unplaced = set(star)
     orbits = []
     for seed in star:
@@ -215,7 +236,7 @@ def orbit_census(n: int) -> dict:
             {
                 "size": len(orb),
                 "type": "Striezel" if has_loop else "Kranz",
-                "members": ["".join(map(str, b)) for b in sorted(orb)],
+                "members": sorted([_bitstring(b) for b in orb]),
             }
         )
     return {

@@ -348,6 +348,12 @@ def test_wn_listings():
     }
 
 
+def test_wn_census_refuses_n_below_one():
+    r = run_cli("wn", "--n", "0", "--star", "--format", "json")
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == "error: n must be >= 1\n"
+
+
 def test_topology_output():
     r = run_cli("topology", "--group", "Z2", "--vector", "L=(0);R=1,1|(0)")
     assert r.stdout == "ends 2\ntype JacobsLadder\n"

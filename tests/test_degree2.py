@@ -28,7 +28,8 @@ from chamcovers import (
     striezel_orbits,
     veech_index,
 )
-from chamcovers.degree2 import MAX_COUNTS_N
+from chamcovers import degree2
+from chamcovers.degree2 import MAX_COUNTS_N, _orbit_of
 from conftest import oracle_has_loop, oracle_orbit, oracle_p1_bits, oracle_p2_bits
 
 Z2 = parse_group("Z2")
@@ -98,7 +99,7 @@ def test_enumerate_wn_star_small():
 
 
 def test_enumerate_wn_star_matches_weak_periodicity():
-    for n in range(1, 9):
+    for n in range(1, 13):
         divisors = [m for m in range(1, n) if n % m == 0]
         expected = [
             e
@@ -170,7 +171,7 @@ def test_bit_moves_match_extension_oracle():
 
 
 def test_census_matches_oracle_census():
-    for n in range(1, 11):
+    for n in range(1, 13):
         star = enumerate_wn_star(n)
         orbits, placed = [], set()
         for e in star:
@@ -187,6 +188,53 @@ def test_census_matches_oracle_census():
             "kranz": sum(o["type"] == "Kranz" for o in orbits),
             "orbits": orbits,
         }
+
+
+def test_orbit_walk_matches_oracle_from_every_seed(monkeypatch):
+    # One walk computes each edge once: |orb| moves on a cycle, |orb| + 1 on
+    # a path, whichever member of the orbit seeds it.
+    calls = [0]
+
+    def counted(move):
+        def wrapper(bits):
+            calls[0] += 1
+            return move(bits)
+
+        return wrapper
+
+    monkeypatch.setattr(degree2, "p1_bits", counted(p1_bits))
+    monkeypatch.setattr(degree2, "p2_bits", counted(p2_bits))
+    for n in range(1, 13):
+        oracle = {}
+        for e in enumerate_wn_star(n):
+            if e.bits not in oracle:
+                orb = frozenset(oracle_orbit(e.bits))
+                for b in orb:
+                    oracle[b] = (orb, oracle_has_loop(orb))
+            calls[0] = 0
+            orb, has_loop = _orbit_of(e.bits)
+            assert (orb, has_loop) == oracle[e.bits]
+            assert calls[0] == len(orb) + has_loop
+
+
+def test_orbit_walk_refuses_a_move_that_is_not_an_involution(monkeypatch):
+    # 111 -P1-> 001 -P2-> 011 -P1-> 001 again, which an involution cannot do.
+    monkeypatch.setattr(degree2, "p1_bits", lambda bits: (0, 0, 1))
+    monkeypatch.setattr(degree2, "p2_bits", lambda bits: (0, 1, 1))
+    with pytest.raises(RuntimeError, match="not an involution"):
+        _orbit_of((1, 1, 1))
+
+
+def test_census_and_star_family_refuse_out_of_range_n():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+            orbit_census(n)
+    with pytest.raises(ValueError, match=r"^n=17 exceeds the census bound 16$"):
+        orbit_census(17)
+    with pytest.raises(ValueError, match=r"^n must be >= 1$"):
+        enumerate_wn_star(0)
+    with pytest.raises(ValueError, match=r"^n=21 exceeds the enumeration bound 20$"):
+        enumerate_wn_star(21)
 
 
 def test_bit_actions_match_vector_actions():
