@@ -249,9 +249,7 @@ def _act(h: EpVector, residues, grow: int, drifts: bool) -> EpVector:
     words = []
     for side in (codes[:side_len], codes[side_len:]):
         if side[k0 + period :] != side[k0 : k0 + period]:
-            raise RuntimeError(
-                "internal error: synthesized tail failed its window check"
-            )
+            raise RuntimeError("synthesized tail failed its window check")
         words += [tuple(side[:k0]), tuple(side[k0 : k0 + period])]
     return EpVector._from_codes(h.group, *words, h._gen)
 

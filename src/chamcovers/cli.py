@@ -2,7 +2,10 @@
 
 Subcommands: act, orbit, index, wn, counts, topology, construct-ends,
 realize-rank.  Exit codes: 0 success, 1 usage or parse error (message on
-stderr), 2 an orbit command could not reach a verdict within its cap.
+stderr), 2 an orbit command could not reach a verdict within its cap, 3 an
+internal error (one ``error: internal error: ...`` line on stderr, no
+traceback), such as a finite-index verdict whose orbit did not close within
+the index search's hard cap.
 """
 
 from __future__ import annotations
@@ -269,6 +272,10 @@ def main(argv=None) -> int:
     except (CliUsageError, AutomorphismBoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # AutomorphismBoundError is a RuntimeError too; it is caught above.
+    except RuntimeError as exc:
+        print(f"error: internal error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -182,7 +182,7 @@ def _orbit_of(seed: tuple[int, ...]) -> tuple[set, bool]:
             if img in seen:
                 if first == 0 and img == seed:
                     return seen, False
-                raise RuntimeError("internal error: a bit move is not an involution")
+                raise RuntimeError("a bit move is not an involution")
             seen.add(img)
             b, i = img, 1 - i
     # Both walks stopped at a member its move fixes: the orbit is a path.
@@ -228,9 +228,7 @@ def orbit_census(n: int) -> dict:
         orb, has_loop = _orbit_of(seed)
         # Earlier orbits are disjoint from orb, so this checks orb <= W_n*.
         if not orb <= unplaced:
-            raise RuntimeError(
-                "internal error: an orbit left W_n*, which is move-invariant"
-            )
+            raise RuntimeError("an orbit left W_n*, which is move-invariant")
         unplaced -= orb
         orbits.append(
             {

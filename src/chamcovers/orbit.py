@@ -118,9 +118,11 @@ def veech_index(h: EpVector, verdict: IndexVerdict | None = None) -> int | None:
     """The index of the cover's symmetry group, or None when infinite.
 
     The relation decision gives the verdict (pass it when already made).  A
-    finite one is then checked by one orbit search capped at _HARD_CAP
-    vertices: the index is the order of the closed orbit, and an orbit that
-    does not close means the two routes disagree.
+    finite one is then measured by one orbit search capped at _HARD_CAP
+    vertices: the index is the order of the closed orbit.  An orbit that
+    does not close within the cap raises RuntimeError; a capped search only
+    shows that the orbit is larger than the cap, not that the two routes
+    disagree.
     """
     if verdict is None:
         verdict = decide_finite_index(h)
@@ -129,8 +131,8 @@ def veech_index(h: EpVector, verdict: IndexVerdict | None = None) -> int | None:
     graph = orbit_bfs(h, _HARD_CAP)
     if not graph.complete:
         raise RuntimeError(
-            "finite-index verdict but the orbit did not close below "
-            f"{_HARD_CAP} vertices; the two decision routes disagree"
+            "finite-index verdict, but the orbit did not close within "
+            f"{_HARD_CAP} vertices"
         )
     return graph.order
 

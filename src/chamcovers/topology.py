@@ -138,5 +138,5 @@ def construct_max_ends(group: FinAbGroup) -> EpVector:
         entries[1] = h1
     h = from_entries(group, entries)
     if num_ends(h) != group.order:
-        raise RuntimeError("internal error: constructed vector missed |G| ends")
+        raise RuntimeError("constructed vector missed |G| ends")
     return h

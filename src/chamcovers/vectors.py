@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import cache
 
 from .groups import (
     Automorphism,
@@ -321,6 +322,39 @@ class VectorClass:
         return self.representative.group
 
 
+class _Refinement(dict):
+    """One node of a group's refinement tree: the automorphisms that survive
+    the letters on the path from the root, and a dict from a letter's code
+    to the node the walk moves to next.
+
+    A child is made when its code is first looked up (`__missing__`): the
+    survivors whose image of the code is least.  A code that splits nothing
+    (zero, or any code whose image the path already fixes) maps back to
+    the node itself.  A node with one survivor is a leaf; `table` is that
+    automorphism's code table, and None at every other node.
+    """
+
+    __slots__ = ("survivors", "table")
+
+    def __init__(self, survivors) -> None:
+        super().__init__()
+        self.survivors = survivors
+        self.table = survivors[0].codes if len(survivors) == 1 else None
+
+    def __missing__(self, c: int) -> "_Refinement":
+        least = min([phi.codes[c] for phi in self.survivors])
+        kept = [phi for phi in self.survivors if phi.codes[c] == least]
+        child = self if len(kept) == len(self.survivors) else _Refinement(kept)
+        self[c] = child
+        return child
+
+
+@cache
+def _refinement_tree(group: FinAbGroup) -> _Refinement:
+    """The root of the group's refinement tree, holding all of Aut(G)."""
+    return _Refinement(automorphisms(group))
+
+
 def canonical_class(h: EpVector) -> VectorClass:
     """The automorphism class of h (requires generating letters).
 
@@ -332,8 +366,17 @@ def canonical_class(h: EpVector) -> VectorClass:
     right period, left prefix, left period) lexicographically, so the
     minimum is found letter by letter: keep the automorphisms whose image of
     the next letter is least, until one is left.  Automorphisms that tie on
-    every letter give the same image.  Letters already seen (and zero, which
-    every automorphism fixes) cannot split the survivors and are skipped.
+    every letter give the same image.
+
+    Which automorphisms survive depends only on the group and the letters
+    read so far, so the filtering steps are kept in a tree per group (see
+    `_Refinement`), grown on demand and cached like `automorphisms`.  Each
+    letter is one dict step down the tree, and only a code met for the
+    first time at a node runs the filter.  The walk stops at a leaf, or at
+    the end of the letters with several survivors left, which then give
+    the same image.  The tree's size depends on the group alone: fully
+    grown it has 218 nodes over Z2xZ2xZ2, 1 954 over Z4xZ4 and 22 906,
+    holding 100 800 survivor entries, over Z2^4.
 
     The image is read off the surviving automorphism's code table as a key.
     When it equals h's own key, h itself is the representative; otherwise
@@ -342,17 +385,12 @@ def canonical_class(h: EpVector) -> VectorClass:
     """
     if not generates(h):
         raise ValueError("vector letters do not generate the group")
-    survivors = automorphisms(h.group)
-    seen = {0}
+    node = _refinement_tree(h.group)
     for c in h.letter_codes():
-        if len(survivors) == 1:
+        if node.table is not None:
             break
-        if c in seen:
-            continue
-        seen.add(c)
-        least = min(phi.codes[c] for phi in survivors)
-        survivors = [phi for phi in survivors if phi.codes[c] == least]
-    table = survivors[0].codes
+        node = node[c]
+    table = node.survivors[0].codes
     key = tuple([tuple([table[c] for c in word]) for word in h.key()])
     if key == h.key():
         return VectorClass(h)

@@ -5,6 +5,8 @@ canonical representative `canonical_class` gives each.
 
 The file pins the representatives beyond the range where the brute-force
 `oracle_canonical_class` is cheap (|Aut(Z2^4)| = 20160 images per vector).
+The committed file was written by the scan of Aut(G) that preceded the
+refinement tree, so rerunning the script must leave it unchanged.
 """
 
 from __future__ import annotations

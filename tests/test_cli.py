@@ -17,6 +17,8 @@ PARITY = "L=(1,0);R=(1,0)"
 FOURP = "L=(1,1,0,0);R=(0,1,1,0)"
 # Fixed by H over Z3 (`h_pow_fixed` with parameter 1): an orbit of four classes.
 SEAMED = "L=(1,0,2);R=(2,0,1)"
+# Fixed by H^8 over Z3: a finite-index vector whose orbit has 640 classes.
+Z3_H8 = "L=(1,2,0,1,2,0,1,1);R=(1,1,0,2,1,0,2,1)"
 
 
 def test_act_fixed_point_exact_bytes():
@@ -306,6 +308,33 @@ def test_orbit_cap_exhausted_exit_code():
     assert r.returncode == 2
     assert r.stdout == ""
     assert "raise --cap" in r.stderr
+
+
+def test_internal_error_exits_three_without_traceback(monkeypatch, capsys):
+    from chamcovers import cli
+
+    def broken(h, verdict=None):
+        raise RuntimeError("the orbit search broke")
+
+    monkeypatch.setattr(cli, "veech_index", broken)
+    assert cli.main(["index", "--group", "Z2", "--vector", FOURP]) == 3
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: internal error: the orbit search broke\n")
+
+
+def test_index_cap_hit_exits_three(monkeypatch, capsys):
+    from chamcovers import cli, orbit
+
+    args = ["index", "--group", "Z3", "--vector", Z3_H8]
+    assert cli.main(args) == 0
+    assert capsys.readouterr() == ("640\n", "")
+    monkeypatch.setattr(orbit, "_HARD_CAP", 100)
+    assert cli.main(args) == 3
+    assert capsys.readouterr() == (
+        "",
+        "error: internal error: finite-index verdict, but the orbit did not "
+        "close within 100 vertices\n",
+    )
 
 
 def test_parse_errors_exit_one():

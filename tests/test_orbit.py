@@ -91,6 +91,23 @@ def test_veech_index_values():
         assert veech_index(expand(e)) == 3
 
 
+# Fixed by H^8 over Z3 (`h_pow_fixed` with parameters 1,2,0,1,2,0,1,1): a
+# finite-index vector whose orbit has 640 classes.
+Z3_H8 = "L=(1,2,0,1,2,0,1,1);R=(1,1,0,2,1,0,2,1)"
+
+
+def test_veech_index_cap_hit_says_the_orbit_did_not_close(monkeypatch):
+    h = parse_vector(Z3, Z3_H8)
+    assert h == h_pow_fixed(Z3, tuple(Z3.elem(r) for r in (1, 2, 0, 1, 2, 0, 1, 1)))
+    assert veech_index(h) == 640
+    monkeypatch.setattr(orbit, "_HARD_CAP", 100)
+    with pytest.raises(RuntimeError) as info:
+        veech_index(h)
+    assert str(info.value) == (
+        "finite-index verdict, but the orbit did not close within 100 vertices"
+    )
+
+
 def test_projective_rank_values():
     assert projective_rank(PARITY) == 2
     assert projective_rank(FOURP) == 3

@@ -1,7 +1,9 @@
 import copy
+import json
 import math
 import pickle
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +27,7 @@ from chamcovers import (
 )
 from chamcovers.action import _reflect
 from chamcovers.groups import element_index
-from chamcovers.vectors import drift, window
+from chamcovers.vectors import _refinement_tree, drift, window
 from conftest import (
     oracle_canonical_class,
     oracle_span_order,
@@ -40,6 +42,7 @@ Z2 = parse_group("Z2")
 Z3 = parse_group("Z3")
 Z4 = parse_group("Z4")
 V4 = parse_group("Z2xZ2")
+DATA = Path(__file__).resolve().parent / "data"
 
 # The differential corpus: vectors built from raw (often not normal) seeded
 # words, which the constructor normalizes.
@@ -319,6 +322,52 @@ def test_canonical_class_returns_a_least_representative_itself():
                 assert got.representative._gen is img._gen is True
                 moved += 1
     assert moved > 20
+
+
+def test_canonical_class_matches_the_z2x4_golden():
+    # Representatives written by the letterwise survivor filter that scanned
+    # Aut(Z2^4) on every call (tests/data/make_canonical_z2x4.py), checked
+    # where the brute-force oracle costs 20160 images per vector.
+    record = json.loads((DATA / "canonical_z2x4.json").read_text())
+    group = parse_group(record["group"])
+    assert len(record["cases"]) == 50
+    for case in record["cases"]:
+        h = parse_vector(group, case["vector"])
+        rep = canonical_class(h).representative
+        assert format_vector(rep) == case["representative"], case["vector"]
+        assert canonical_class(rep).representative is rep
+
+
+def _tree_nodes(group) -> int:
+    """Nodes of the group's refinement tree after growing every child."""
+    nodes, stack = 0, [_refinement_tree(group)]
+    while stack:
+        node = stack.pop()
+        nodes += 1
+        if node.table is None:
+            stack += [child for c in range(group.order) if (child := node[c]) is not node]
+    return nodes
+
+
+@pytest.mark.parametrize("spec", ["Z2xZ2xZ2", "Z2xZ4", "Z3xZ3", "Z4xZ4"])
+def test_canonical_class_does_not_depend_on_the_order_the_tree_grew_in(spec):
+    group = parse_group(spec)
+    rng = random.Random(1616)
+    corpus = [h for h in (raw_vector(group, rng) for _ in range(80)) if generates(h)]
+    assert len(corpus) > 25
+    passes = []
+    for order in (corpus, corpus[::-1]):
+        _refinement_tree.cache_clear()
+        passes.append({h: canonical_class(h) for h in order})
+    assert passes[0] == passes[1]
+    for h, cls in passes[0].items():
+        assert cls == oracle_canonical_class(h), format_vector(h)
+
+
+def test_fully_grown_refinement_tree_size():
+    _refinement_tree.cache_clear()
+    assert _tree_nodes(parse_group("Z2xZ2xZ2")) == 218
+    assert _tree_nodes(parse_group("Z2xZ4")) == 31
 
 
 def test_generates_matches_span_and_element_closure():
