@@ -48,7 +48,8 @@ pass the input's remembered `vectors.generates` answer on to their output.
 
 Words are comma-separated tokens P1, P2, -I, H with optional integer
 exponents (e.g. "P1^-2,H^3,P2"); the leftmost letter acts last.  A parsed
-word's exponents may sum to at most MAX_WORD_EXPONENT in absolute value.
+word's exponents may sum to at most MAX_WORD_EXPONENT in absolute value, and
+a letter may synthesize at most MAX_LETTER_SIDE output entries per side.
 """
 
 from __future__ import annotations
@@ -104,6 +105,10 @@ _WORD_TOKEN_RE = re.compile(r"(P1|P2|-I|H)(?:\^(-?[0-9]+))?")
 # P1^k runs as k letter steps and H^k builds windows of about 2k entries, so
 # a longer word asks for unbounded work and is refused.
 MAX_WORD_EXPONENT = 10_000
+
+# Largest side_len of `_frame`: long coprime periods in a few KB of input can
+# ask for millions of entries per side.  Z2 periods 997 and 991 (1 976 056) run.
+MAX_LETTER_SIDE = 2**21
 
 
 def parse_word(text: str) -> Word:
@@ -219,6 +224,11 @@ def _frame(h: EpVector, grow: int, drifts: bool):
         # groups.elem_ops prediction for orbit-grow is 0 (ROADMAP item 1).
         period *= drift(h, p).scale(2).order()
     side_len = k0 + 2 * period
+    if side_len > MAX_LETTER_SIDE:
+        raise ValueError(
+            f"letter output needs {side_len} entries per side, "
+            f"more than the bound {MAX_LETTER_SIDE}"
+        )
     m = side_len + grow
     w = code_window(h, m)
     w = w[m:] + w[:m]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .action import act_h_pow
 from .groups import residue_columns
-from .vectors import EpVector, canonical_class
+from .vectors import EpVector, _one_sided_period
 
 
 @dataclass(frozen=True)
@@ -39,18 +39,6 @@ class IndexVerdict:
     @property
     def finite(self) -> bool:
         return self.witness is None
-
-
-def _one_sided_period(h: EpVector) -> int | None:
-    """Least simultaneous one-sided period of h, or None.
-
-    h is stored with the shortest prefixes and primitive periods, so it has
-    one-sided periods exactly when both prefixes are empty, and they are the
-    multiples of lcm(|R|, |L|).
-    """
-    if h.rpre or h.lpre:
-        return None
-    return math.lcm(len(h.rper), len(h.lper))
 
 
 def _relations_hold(h: EpVector, window: int) -> str | None:
@@ -129,17 +117,8 @@ def in_cn(h: EpVector, n: int) -> bool:
     return _relations_hold(h, dn) is None
 
 
-def is_fixed_by_h_pow(h: EpVector, n: int, level: str = "vector") -> bool:
-    """Is h fixed by the n-th power of the hyperbolic letter?
-
-    level "vector" compares vectors; level "class" compares automorphism
-    classes.
-    """
+def is_fixed_by_h_pow(h: EpVector, n: int) -> bool:
+    """Is h fixed by the n-th power of the hyperbolic letter?"""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if level not in ("vector", "class"):
-        raise ValueError(f"unknown level: {level!r}")
-    image = act_h_pow(h, n)
-    if level == "vector":
-        return image == h
-    return canonical_class(image) == canonical_class(h)
+    return act_h_pow(h, n) == h

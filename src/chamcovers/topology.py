@@ -1,8 +1,8 @@
 """Topological ends of the covers encoded by eventually periodic vectors.
 
 The number of ends equals the index of a subgroup G' generated by one
-alternating sum over a window that contains both prefixes, together with all
-pairwise differences of letters that repeat infinitely often on either side.
+alternating sum over a window that contains both prefixes, together with the
+differences of the letters that repeat infinitely often on either side.
 Over a two-element group the two possible outcomes split the covers into the
 one-ended and two-ended homeomorphism types.
 """
@@ -55,10 +55,12 @@ def alt_sum(h: EpVector, n_window: int) -> GroupElem:
 
 
 def end_subgroup(h: EpVector, n_window: int | None = None) -> Subgroup:
-    """G': generated by the alternating sum and all accumulation differences.
+    """G': generated by the alternating sum and the accumulation differences.
 
-    The result does not depend on n_window as long as it is at least
-    minimal_n(h); passing a larger window is allowed (and tested).
+    The differences to the least accumulation letter a0 (by residues) span
+    all of them, as a - b = (a - a0) - (b - a0).  The result does not depend
+    on n_window as long as it is at least minimal_n(h); passing a larger
+    window is allowed (and tested).
     """
     if n_window is None:
         n_window = minimal_n(h)
@@ -68,13 +70,8 @@ def end_subgroup(h: EpVector, n_window: int | None = None) -> Subgroup:
         )
     racc, lacc = accumulation_points(h)
     acc = racc | lacc
-    gens = {alt_sum(h, n_window)}
-    for a in acc:
-        for b in acc:
-            if a != b:
-                gens.add(a - b)
-    gens.discard(h.group.zero())
-    return span(h.group, sorted(gens, key=lambda e: e.residues))
+    a0 = min(acc, key=lambda e: e.residues)
+    return span(h.group, [alt_sum(h, n_window), *(a - a0 for a in acc)])
 
 
 def num_ends(h: EpVector) -> int:

@@ -280,6 +280,18 @@ def drift(h: EpVector, p: int) -> GroupElem:
     )
 
 
+def _one_sided_period(h: EpVector) -> int | None:
+    """Least simultaneous one-sided period of h, or None.
+
+    h is stored with the shortest prefixes and primitive periods, so it has
+    one-sided periods exactly when both prefixes are empty, and they are the
+    multiples of lcm(|R|, |L|).
+    """
+    if h.rpre or h.lpre:
+        return None
+    return math.lcm(len(h.rper), len(h.lper))
+
+
 def is_periodic(h: EpVector) -> int | None:
     """Least p with h_{k+p} = h_k for every integer k, or None.
 
@@ -287,9 +299,9 @@ def is_periodic(h: EpVector) -> int | None:
     be empty; each side is then p-periodic for p = lcm(|L|, |R|), so only the
     seam at zero is left: h_{-p..0} must equal h_{0..p}.
     """
-    if h.rpre or h.lpre:
+    p = _one_sided_period(h)
+    if p is None:
         return None
-    p = math.lcm(len(h.rper), len(h.lper))
     w = code_window(h, p)
     return p if w[:-p] == w[p:] else None
 

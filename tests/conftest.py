@@ -301,14 +301,31 @@ def oracle_orbit_bfs(h: EpVector, cap: int):
     return tuple(reps), edges(p1), edges(p2), cap_hit
 
 
-def oracle_span_order(group: FinAbGroup, gens) -> int:
-    """Order of the subgroup generated by gens, closed with GroupElem arithmetic."""
+def oracle_span(group: FinAbGroup, gens) -> frozenset:
+    """The subgroup generated by gens, closed with GroupElem arithmetic."""
     elems = {group.zero()}
     frontier = set(elems)
     while frontier:
         frontier = {a + g for a in frontier for g in gens} - elems
         elems |= frontier
-    return len(elems)
+    return frozenset(elems)
+
+
+def oracle_span_order(group: FinAbGroup, gens) -> int:
+    """Order of the subgroup generated by gens."""
+    return len(oracle_span(group, gens))
+
+
+def oracle_end_subgroup(h: EpVector, n_window: int) -> frozenset:
+    """G' by the pairwise rule: the alternating sum sum_{k=-N}^{N-1} (-1)^k h_k
+    (N = n_window, h_0 = 0) and every difference a - b of two letters that
+    repeat at infinity, closed with GroupElem arithmetic."""
+    alt = h.group.zero()
+    for k in range(-n_window, n_window):
+        if k:
+            alt = alt + (h.entry(k) if k % 2 == 0 else -h.entry(k))
+    acc = set(h.right_period) | set(h.left_period)
+    return oracle_span(h.group, [alt] + [a - b for a in acc for b in acc if a != b])
 
 
 def raw_vector(group: FinAbGroup, rng: random.Random) -> EpVector:

@@ -33,6 +33,7 @@ from chamcovers import (
     span,
     word_matrix,
 )
+from chamcovers import action
 from chamcovers.action import _frame, _reflect
 from conftest import (
     element_words,
@@ -429,6 +430,36 @@ def test_parse_word_bounds_total_exponent():
             parse_word(text)
     with pytest.raises(WordParseError, match="digits"):
         parse_word("P1^" + "1" * 5000)
+
+
+# Z3 periods 997 and 991 with drift of order 3: P1's output period would be
+# 997 * 991 * 3, so 5 928 164 entries per side.
+COPRIME_Z3 = "L=(1,1" + ",0" * 989 + ");R=(1" + ",0" * 996 + ")"
+
+
+def test_letter_refuses_an_output_side_above_the_bound(monkeypatch):
+    h = parse_vector(Z3, COPRIME_Z3)
+    assert (len(h.right_period), len(h.left_period)) == (997, 991)
+
+    def no_window(*args):
+        raise AssertionError("the frame was built")
+
+    monkeypatch.setattr(action, "code_window", no_window)
+    _frame.cache_clear()
+    for act in P_LETTERS:
+        with pytest.raises(ValueError, match="needs 5928164 entries per side"):
+            act(h)
+
+
+def test_letter_side_bound_edge(monkeypatch):
+    # P1 at this vector: prefix 2, period 3 (drift 1 of order 3), so 8 entries.
+    h = parse_vector(Z3, "L=(1);R=(0)")
+    _frame.cache_clear()
+    monkeypatch.setattr(action, "MAX_LETTER_SIDE", 7)
+    with pytest.raises(ValueError, match="needs 8 entries per side, more than the bound 7"):
+        act_p1(h)
+    monkeypatch.setattr(action, "MAX_LETTER_SIDE", 8)
+    assert entries_agree(act_p1(h), lambda k: oracle_p1(h, k))
 
 
 def test_word_inverse_round_trip():

@@ -310,6 +310,18 @@ def test_orbit_cap_exhausted_exit_code():
     assert "raise --cap" in r.stderr
 
 
+def test_act_refuses_a_letter_output_above_the_side_bound(capsys):
+    # Z3 periods 997 and 991: P1 would write 997 * 991 * 3 entries per side.
+    from chamcovers.cli import main
+
+    vector = "L=(1,1" + ",0" * 989 + ");R=(1" + ",0" * 996 + ")"
+    rc = main(["act", "--group", "Z3", "--word", "P1", "--vector", vector])
+    assert (rc, capsys.readouterr()) == (
+        1,
+        ("", "error: letter output needs 5928164 entries per side, more than the bound 2097152\n"),
+    )
+
+
 def test_internal_error_exits_three_without_traceback(monkeypatch, capsys):
     from chamcovers import cli
 

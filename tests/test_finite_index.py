@@ -8,9 +8,11 @@ from hypothesis import assume, given, settings, strategies as st
 from chamcovers import (
     EpVector,
     WnElement,
+    act_h_pow,
     act_neg,
     act_p1,
     act_p2,
+    canonical_class,
     decide_finite_index,
     expand,
     enumerate_wn,
@@ -66,12 +68,10 @@ def test_in_cn_rejects_bad_n():
 
 def test_is_fixed_by_h_pow_examples():
     assert is_fixed_by_h_pow(PARITY, 1)
-    assert is_fixed_by_h_pow(PARITY, 1, level="class")
+    assert canonical_class(act_h_pow(PARITY, 1)) == canonical_class(PARITY)
     assert not is_fixed_by_h_pow(FOURP, 1)
     assert is_fixed_by_h_pow(FOURP, 2)
     assert is_fixed_by_h_pow(SEAMED, 1)
-    with pytest.raises(ValueError):
-        is_fixed_by_h_pow(PARITY, 1, level="orbit")
 
 
 def test_hyperbolic_fixed_points_lie_in_cn():

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from chamcovers import (
+    GroupElem,
     SurfaceKind,
     accumulation_points,
     alt_sum,
@@ -19,7 +20,7 @@ from chamcovers import (
     parse_group,
     parse_vector,
 )
-from conftest import random_vector
+from conftest import oracle_end_subgroup, random_vector, raw_vector
 
 Z2 = parse_group("Z2")
 Z3 = parse_group("Z3")
@@ -88,6 +89,37 @@ def test_subgroup_independent_of_window():
             base = end_subgroup(h)
             for extra in (1, 2, 5):
                 assert end_subgroup(h, minimal_n(h) + extra) == base
+
+
+def test_end_subgroup_matches_pairwise_oracle():
+    # raw_vector's letters often do not generate the group.
+    rng = random.Random(14)
+    groups = [parse_group(g) for g in ("Z2", "Z3", "Z4", "Z6", "Z2xZ2", "Z2xZ4", "Z3xZ3")]
+    for group in groups:
+        for sample in (random_vector, raw_vector) * 10:
+            h = sample(group, rng)
+            for extra in (0, 1, 4):
+                n = minimal_n(h) + extra
+                assert end_subgroup(h, n).elements == oracle_end_subgroup(h, n)
+            assert end_subgroup(h).elements == oracle_end_subgroup(h, minimal_n(h))
+
+
+def test_end_subgroup_forms_one_difference_per_accumulation_letter(monkeypatch):
+    # 2 000 accumulation letters: the pairwise rule made 3 998 000 subtractions.
+    group = parse_group("Z10000")
+    h = parse_vector(group, "L=(0);R=(" + ",".join(map(str, range(2000))) + ")")
+    calls = 0
+    sub = GroupElem.__sub__
+
+    def counted_sub(a, b):
+        nonlocal calls
+        calls += 1
+        assert calls <= 2000, "more than one subtraction per accumulation letter"
+        return sub(a, b)
+
+    monkeypatch.setattr(GroupElem, "__sub__", counted_sub)
+    g_prime = end_subgroup(h)
+    assert g_prime.index == 1 and g_prime.order == 10000
 
 
 def test_num_ends_divides_group_order():
