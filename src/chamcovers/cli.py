@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands: act, orbit, index, wn, counts, topology, construct-ends,
-realize-rank.  Exit codes: 0 success, 1 usage or parse error (message on
-stderr), 2 an orbit command could not reach a verdict within its cap, 3 an
-internal error (one ``error: internal error: ...`` line on stderr, no
-traceback), such as a finite-index verdict whose orbit did not close within
-the index search's hard cap.
+realize-rank.  Exit codes: 0 success, 1 a refused input (any ValueError: a
+usage or parse error, or an input over a work bound), 2 an orbit command could
+not reach a verdict within its cap, 3 an internal error (any RuntimeError),
+such as a finite-index verdict whose orbit did not close within the index
+search's hard cap.  Each error is one ``error: ...`` line on stderr
+(``error: internal error: ...`` for status 3), with no traceback.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 from .action import act_word, parse_word
 from .degree2 import enumerate_wn, enumerate_wn_star, count_closed_forms, orbit_census, realize_rank
 from .finite_index import decide_finite_index
-from .groups import AutomorphismBoundError, parse_group
+from .groups import parse_group
 from .orbit import (
     GraphType,
     dot_from_report,
@@ -33,7 +34,7 @@ from .topology import construct_max_ends, ends_report
 from .vectors import canonical_class, format_vector, parse_vector
 
 
-class CliUsageError(Exception):
+class CliUsageError(ValueError):
     pass
 
 
@@ -268,11 +269,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.fn(args)
-    # The parse errors of every module subclass ValueError.
-    except (CliUsageError, AutomorphismBoundError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    # AutomorphismBoundError is a RuntimeError too; it is caught above.
     except RuntimeError as exc:
         print(f"error: internal error: {exc}", file=sys.stderr)
         return 3

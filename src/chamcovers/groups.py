@@ -18,7 +18,7 @@ class GroupParseError(ValueError):
     """Raised for a malformed group spec string."""
 
 
-class AutomorphismBoundError(RuntimeError):
+class AutomorphismBoundError(ValueError):
     """Raised when a group is too large for automorphism enumeration."""
 
 

@@ -10,7 +10,6 @@ vertices: hitting it is a verdict ("did not close within cap"), not an error.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 
 from .action import (
@@ -37,7 +36,7 @@ class SchreierGraph:
     """A (possibly truncated) coset graph.
 
     p1_edges[i] / p2_edges[i] give the forward-move targets of vertex i, or
-    None when the vertex was never expanded (only possible after a cap hit).
+    None when a cap hit stopped the search before that move.
     """
 
     vertices: tuple[VectorClass, ...]
@@ -67,27 +66,27 @@ def orbit_bfs(h: EpVector, cap: int = 10000) -> SchreierGraph:
     P1^-1(j) = i (and P1^-1(i) = j gives P1(j) = i, likewise for P2); that
     known move is taken without acting or canonicalizing.  A known move
     never finds a new class, so the cap falls on the same move as when every
-    move is computed.  The edge arrays record the moves made while expanding
-    a vertex: an unexpanded vertex has None edges, even when its edge is
-    known from the other end.
+    move is computed.  Vertices are expanded in the order they are found, so
+    the vertex list is the queue.  Expanding a vertex appends its P1 and P2
+    targets to the edge lists, and None pads them: a move the cap stopped
+    has a None edge, even when the edge is known from the other end.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
     start = canonical_class(h)
     index: dict[VectorClass, int] = {start: 0}
     vertices: list[VectorClass] = [start]
-    p1_map: dict[int, int] = {}
-    p2_map: dict[int, int] = {}
+    p1_edges: list[int | None] = []
+    p2_edges: list[int | None] = []
     # known[m][i] is the target of move m at vertex i when the inverse move
     # already computed it; the moves are numbered so that m ^ 1 is m's inverse.
     known: tuple[dict[int, int], ...] = ({}, {}, {}, {})
-    moves = ((act_p1, p1_map), (act_p1_inv, None), (act_p2, p2_map), (act_p2_inv, None))
-    queue: deque[int] = deque([0])
+    moves = ((act_p1, p1_edges), (act_p1_inv, None), (act_p2, p2_edges), (act_p2_inv, None))
     cap_hit = False
-    while queue and not cap_hit:
-        i = queue.popleft()
+    i = 0
+    while i < len(vertices) and not cap_hit:
         rep = vertices[i].representative
-        for m, (act, forward) in enumerate(moves):
+        for m, (act, edges) in enumerate(moves):
             j = known[m].pop(i, None)
             if j is None:
                 cls = canonical_class(act(rep))
@@ -99,14 +98,15 @@ def orbit_bfs(h: EpVector, cap: int = 10000) -> SchreierGraph:
                     j = len(vertices)
                     index[cls] = j
                     vertices.append(cls)
-                    queue.append(j)
                 known[m ^ 1][j] = i
-            if forward is not None:
-                forward[i] = j
+            if edges is not None:
+                edges.append(j)
+        i += 1
+    pad = [None] * len(vertices)
     return SchreierGraph(
         vertices=tuple(vertices),
-        p1_edges=tuple(p1_map.get(i) for i in range(len(vertices))),
-        p2_edges=tuple(p2_map.get(i) for i in range(len(vertices))),
+        p1_edges=tuple(p1_edges + pad[len(p1_edges) :]),
+        p2_edges=tuple(p2_edges + pad[len(p2_edges) :]),
         complete=not cap_hit,
     )
 
@@ -210,14 +210,13 @@ def stabilizer_generators(graph: SchreierGraph) -> tuple[Word, ...]:
     )
     transversal: list[tuple | None] = [None] * n
     transversal[0] = ()
-    queue = deque([0])
-    while queue:
-        v = queue.popleft()
+    reached = [0]
+    for v in reached:
         for ltr, exp, perm in moves:
             w = perm[v]
             if transversal[w] is None:
                 transversal[w] = ((ltr, exp),) + transversal[v]
-                queue.append(w)
+                reached.append(w)
     gens: list[Word] = []
     for v in range(n):
         for ltr, perm in ((GeneratorLetter.P1, p1), (GeneratorLetter.P2, p2)):

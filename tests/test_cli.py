@@ -250,6 +250,17 @@ def test_automorphism_bound_exits_one():
     assert "Traceback" not in r.stderr
 
 
+def test_every_refusal_is_a_value_error():
+    # cli.main exits 1 on a ValueError and 3 on a RuntimeError; the package's
+    # own refusal classes are ValueErrors, so no clause names them.
+    from chamcovers.cli import CliUsageError
+    from chamcovers.groups import AutomorphismBoundError
+
+    assert issubclass(AutomorphismBoundError, ValueError)
+    assert issubclass(CliUsageError, ValueError)
+    assert not issubclass(AutomorphismBoundError, RuntimeError)
+
+
 def test_huge_group_exits_one_fast(capsys):
     # Refused at parse time: lcm(m, |G|) windows would be about 10^9 steps.
     # A modulus or residue with more digits than int() converts is a parse

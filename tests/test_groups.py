@@ -16,7 +16,7 @@ from chamcovers import (
     parse_group,
     span,
 )
-from chamcovers.groups import negation
+from chamcovers.groups import MAX_AUT_GROUP_ORDER, negation
 from conftest import oracle_span_order
 
 Z2 = parse_group("Z2")
@@ -192,6 +192,20 @@ def test_automorphism_count_known_values():
         ("Z67", 66),
     ):
         assert automorphism_count(parse_group(spec)) == count
+
+
+def test_automorphism_group_order_bound_edge():
+    # Order 64 is the largest group enumerated; order 65 is refused before
+    # anything is counted.
+    assert MAX_AUT_GROUP_ORDER == 64
+    for spec, count in (("Z64", 32), ("Z2xZ32", 64)):
+        start = time.perf_counter()
+        assert len(automorphisms(parse_group(spec))) == count
+        assert time.perf_counter() - start < 0.5
+    start = time.perf_counter()
+    with pytest.raises(AutomorphismBoundError, match="group order 65"):
+        automorphisms(parse_group("Z65"))
+    assert time.perf_counter() - start < 0.5
 
 
 def test_automorphisms_refuse_huge_groups_up_front():

@@ -328,17 +328,40 @@ PROBES = (
 )
 
 
-@pytest.mark.parametrize("cap", [1, 2, 7, 16])
+CUT_CAPS = range(1, 33)
+
+
+@pytest.mark.parametrize("cap", CUT_CAPS)
 def test_orbit_bfs_matches_oracle_search_on_probes_cut_mid_vertex(cap):
-    # These caps stop the search while it expands a vertex.  By caps 7 and 16
-    # many moves were taken as known from their other end, and the cut must
-    # still fall on the same move as in the oracle, which computes every move.
+    # These caps stop the search while it expands a vertex.  At the larger
+    # caps many moves were taken as known from their other end, and the cut
+    # must still fall on the same move as in the oracle, which computes every
+    # move, with the same None edges after it.
     for h in PROBES:
         graph = orbit_bfs(h, cap=cap)
         reps, p1, p2, cap_hit = oracle_orbit_bfs(h, cap=cap)
         assert tuple(c.representative for c in graph.vertices) == reps
         assert (graph.p1_edges, graph.p2_edges, graph.cap_hit) == (p1, p2, cap_hit)
         assert cap_hit and graph.order == cap
+
+
+def test_probe_cuts_fall_on_every_move(monkeypatch):
+    # The move that finds the class over the cap is the last letter run.
+    # Across CUT_CAPS it is each of the four, so the oracle comparison above
+    # checks the None edges left by a cut at every position in a vertex.
+    ran = []
+    for name in ("act_p1", "act_p1_inv", "act_p2", "act_p2_inv"):
+        letter = getattr(orbit, name)
+        monkeypatch.setattr(
+            orbit, name, lambda h, name=name, letter=letter: ran.append(name) or letter(h)
+        )
+    cut_moves = set()
+    for cap in CUT_CAPS:
+        for h in PROBES:
+            ran.clear()
+            assert orbit_bfs(h, cap=cap).cap_hit
+            cut_moves.add(ran[-1])
+    assert cut_moves == {"act_p1", "act_p1_inv", "act_p2", "act_p2_inv"}
 
 
 def test_complete_orbit_computes_each_edge_once(monkeypatch):
