@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .action import act_word, parse_word
-from .degree2 import enumerate_wn, enumerate_wn_star, count_closed_forms, orbit_census, realize_rank
+from .degree2 import bitstring, count_closed_forms, orbit_census, realize_rank, wn_bits
 from .finite_index import decide_finite_index
 from .groups import parse_group
 from .orbit import (
@@ -31,7 +31,7 @@ from .orbit import (
     veech_index,
 )
 from .topology import construct_max_ends, ends_report
-from .vectors import canonical_class, format_vector, parse_vector
+from .vectors import canonical_class, format_vector, generates, parse_vector
 
 
 class CliUsageError(ValueError):
@@ -55,6 +55,14 @@ def _vector(args):
     return parse_vector(parse_group(args.group), args.vector)
 
 
+def _cover(args):
+    """The vector of a cover, whose letters must generate the group."""
+    h = _vector(args)
+    if not generates(h):
+        raise ValueError("vector letters do not generate the group")
+    return h
+
+
 def _render(args, report, text: str) -> int:
     _emit(_json(report) if args.format == "json" else text)
     return 0
@@ -67,7 +75,7 @@ def _cmd_act(args) -> int:
 
 
 def _cmd_index(args) -> int:
-    h = _vector(args)
+    h = _cover(args)
     verdict = decide_finite_index(h)
     idx = veech_index(h, verdict)
     report = {
@@ -151,7 +159,7 @@ def _render_orbit(args, report: dict) -> int:
 def _cmd_orbit(args) -> int:
     if args.cap < 1:
         raise CliUsageError("cap must be >= 1")
-    h = _vector(args)
+    h = _cover(args)
     verdict = decide_finite_index(h)
     if not verdict.finite:
         return _render(args, {"finite": False, "witness": verdict.witness}, "infinite")
@@ -191,9 +199,8 @@ def _cmd_orbit(args) -> int:
 def _cmd_wn(args) -> int:
     if args.star and args.format == "json":  # only the JSON form runs the census
         return _render(args, orbit_census(args.n), "")
-    members = enumerate_wn_star(args.n) if args.star else enumerate_wn(args.n)
-    bitstrings = [e.bitstring() for e in members]
-    report = {"n": args.n, "count": len(members), "members": bitstrings}
+    bitstrings = [bitstring(bits) for bits in wn_bits(args.n, args.star)]
+    report = {"n": args.n, "count": len(bitstrings), "members": bitstrings}
     return _render(args, report, "\n".join(bitstrings))
 
 

@@ -15,6 +15,7 @@ need the general vector machinery (tests cross-check the two routes).
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,7 +33,7 @@ MAX_COUNTS_N = 10_000
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 
 
-def _bitstring(bits: tuple[int, ...]) -> str:
+def bitstring(bits: tuple[int, ...]) -> str:
     return bytes(bits).translate(_DIGITS).decode()
 
 
@@ -52,7 +53,7 @@ class WnElement:
             raise ValueError("the zero tuple does not generate the group")
 
     def bitstring(self) -> str:
-        return _bitstring(self.bits)
+        return bitstring(self.bits)
 
 
 def _entry(bits: tuple[int, ...], j: int) -> int:
@@ -89,17 +90,20 @@ def is_weakly_n_periodic(h: EpVector, n: int) -> bool:
     return all((b - a) % 2 == step for a, b in zip(w, w[n:]))
 
 
-def enumerate_wn(n: int) -> list[WnElement]:
-    """All of W_n in lexicographic bit order."""
+def wn_bits(n: int, star: bool) -> Iterable[tuple[int, ...]]:
+    """W_n's bit tuples, or W_n*'s when `star`, in lexicographic order; W_n's lazily."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > DEFAULT_ENUM_BOUND:
         raise ValueError(f"n={n} exceeds the enumeration bound {DEFAULT_ENUM_BOUND}")
-    return [
-        WnElement(n, bits)
-        for bits in itertools.product((0, 1), repeat=n)
-        if any(bits)
-    ]
+    if star:
+        return _star_bits(n)
+    return itertools.islice(itertools.product((0, 1), repeat=n), 1, None)
+
+
+def enumerate_wn(n: int) -> list[WnElement]:
+    """All of W_n in lexicographic bit order."""
+    return [WnElement(n, bits) for bits in wn_bits(n, star=False)]
 
 
 def _star_bits(n: int) -> list[tuple[int, ...]]:
@@ -128,9 +132,7 @@ def _star_bits(n: int) -> list[tuple[int, ...]]:
 
 def enumerate_wn_star(n: int) -> list[WnElement]:
     """Members of W_n whose minimal weak period is exactly n, in bit order."""
-    if n > DEFAULT_ENUM_BOUND:
-        raise ValueError(f"n={n} exceeds the enumeration bound {DEFAULT_ENUM_BOUND}")
-    return [WnElement(n, bits) for bits in _star_bits(n)]
+    return [WnElement(n, bits) for bits in wn_bits(n, star=True)]
 
 
 @lru_cache(maxsize=None)
@@ -234,7 +236,7 @@ def orbit_census(n: int) -> dict:
             {
                 "size": len(orb),
                 "type": "Striezel" if has_loop else "Kranz",
-                "members": sorted([_bitstring(b) for b in orb]),
+                "members": sorted([bitstring(b) for b in orb]),
             }
         )
     return {

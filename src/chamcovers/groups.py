@@ -244,6 +244,12 @@ def residue_columns(group: FinAbGroup) -> tuple[tuple[int, ...], ...]:
     return tuple(zip(*(e.residues for e in elems)))
 
 
+@cache
+def element_labels(group: FinAbGroup) -> tuple[str, ...]:
+    """The text of every element (`GroupElem.__str__`), indexed by code."""
+    return tuple([str(e) for e in element_index(group)[0]])
+
+
 @dataclass(frozen=True, slots=True)
 class Automorphism:
     """An additive bijection of a FinAbGroup, tabulated for fast application.

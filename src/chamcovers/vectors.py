@@ -17,8 +17,8 @@ directly.  Codes are assigned in lexicographic residue order, so comparing
 two code words compares the residue words they stand for: the normal form,
 `key()` order and therefore every canonical representative are the same as
 for words of group elements.  Group elements appear only at the public
-boundary: the constructor, the word properties, `entry`, `window`, `drift`,
-parsing and formatting.
+boundary: the constructor, the word properties, `entry`, `window`, `drift`
+and parsing; formatting reads `groups.element_labels`.
 
 A vector also remembers, once known, whether its letters generate G
 (`generates`).  Vectors made from another one pass the answer on: every
@@ -46,6 +46,7 @@ from .groups import (
     GroupElem,
     automorphisms,
     element_index,
+    element_labels,
     parse_elem,
     residue_columns,
     span,
@@ -445,22 +446,14 @@ def parse_vector(group: FinAbGroup, spec: str) -> EpVector:
     return EpVector(group, rpre, rper, lpre, lper)
 
 
-def _format_word(word: tuple[GroupElem, ...]) -> str:
-    return ",".join(str(e) for e in word)
-
-
-def _format_tail(prefix, period) -> str:
-    if prefix:
-        return f"{_format_word(prefix)}|({_format_word(period)})"
-    return f"({_format_word(period)})"
-
-
 def format_vector(h: EpVector) -> str:
-    """Serialize h; parse_vector(h.group, format_vector(h)) == h."""
-    return (
-        f"L={_format_tail(h.left_prefix, h.left_period)};"
-        f"R={_format_tail(h.right_prefix, h.right_period)}"
-    )
+    """Serialize h via the label table: parse_vector(h.group, format_vector(h)) == h."""
+    labels = element_labels(h.group)
+    tails = []
+    for prefix, period in ((h.lpre, h.lper), (h.rpre, h.rper)):
+        tail = f"({','.join([labels[c] for c in period])})"
+        tails.append(f"{','.join([labels[c] for c in prefix])}|{tail}" if prefix else tail)
+    return f"L={tails[0]};R={tails[1]}"
 
 
 def from_entries(group: FinAbGroup, entries: dict[int, GroupElem]) -> EpVector:

@@ -232,6 +232,17 @@ def element_words(h: EpVector) -> tuple:
     return h.right_prefix, h.right_period, h.left_prefix, h.left_period
 
 
+def oracle_format_vector(h: EpVector) -> str:
+    """The serialization of h, from its element words joined with `str`."""
+    rpre, rper, lpre, lper = element_words(h)
+
+    def tail(prefix, period):
+        body = "(" + ",".join(str(e) for e in period) + ")"
+        return ",".join(str(e) for e in prefix) + "|" + body if prefix else body
+
+    return f"L={tail(lpre, lper)};R={tail(rpre, rper)}"
+
+
 def public_copy(h: EpVector) -> EpVector:
     """h rebuilt from its element words through the public constructor, so
     the copy remembers nothing about its letters."""

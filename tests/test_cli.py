@@ -4,6 +4,10 @@ import subprocess
 import sys
 import time
 
+import pytest
+
+from chamcovers import WnElement, cli, enumerate_wn, enumerate_wn_star
+
 
 def run_cli(*args):
     return subprocess.run(
@@ -398,6 +402,64 @@ def test_wn_listings():
         "count": 3,
         "members": ["01", "10", "11"],
     }
+
+
+@pytest.mark.parametrize("star", [False, True])
+def test_wn_lists_exactly_the_enumerated_members(star, capsys):
+    enumerate_ = enumerate_wn_star if star else enumerate_wn
+    flag = ["--star"] if star else []
+    for n in range(1, 13):
+        members = [e.bitstring() for e in enumerate_(n)]
+        assert cli.main(["wn", "--n", str(n), *flag]) == 0
+        assert capsys.readouterr().out == "\n".join(members) + "\n"
+        assert cli.main(["wn", "--n", str(n), *flag, "--format", "json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        if star:  # the JSON form of --star is the census, which covers W_n*
+            assert sorted(m for o in report["orbits"] for m in o["members"]) == members
+        else:
+            assert report == {"n": n, "count": len(members), "members": members}
+
+
+@pytest.mark.parametrize("star", [False, True])
+def test_wn_builds_no_member_objects(star, monkeypatch, capsys):
+    built = []
+    check = WnElement.__post_init__
+    monkeypatch.setattr(
+        WnElement, "__post_init__", lambda self: (built.append(self), check(self))
+    )
+    assert cli.main(["wn", "--n", "10", *(["--star"] if star else [])]) == 0
+    assert capsys.readouterr().out.count("\n") == (990 if star else 1023)
+    assert built == []
+    enumerate_wn(2)  # the patch does count the public enumerator's members
+    assert len(built) == 3
+
+
+@pytest.mark.parametrize("star", [[], ["--star"]])
+@pytest.mark.parametrize(
+    "n, message",
+    [("0", "n must be >= 1"), ("21", "n=21 exceeds the enumeration bound 20")],
+)
+def test_wn_bound_messages(star, n, message, capsys):
+    assert cli.main(["wn", "--n", n, *star]) == 1
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "group, vector", [("Z4", "L=(2);R=(2)"), ("Z2", "L=(0);R=(0)")]
+)
+def test_index_and_orbit_refuse_a_non_generating_vector(group, vector, capsys):
+    # Z4 "L=(2);R=(2)" has an infinite-index verdict and Z2 "L=(0);R=(0)" a
+    # finite one: both are refused before the verdict.  act acts on any vector.
+    for fmt in ("text", "json"):
+        for cmd in ("index", "orbit"):
+            argv = [cmd, "--group", group, "--vector", vector, "--format", fmt]
+            assert cli.main(argv) == 1
+            assert capsys.readouterr() == (
+                "", "error: vector letters do not generate the group\n"
+            )
+        argv = ["act", "--group", group, "--word", "P1", "--vector", vector]
+        assert cli.main([*argv, "--format", fmt]) == 0
+        assert capsys.readouterr().err == ""
 
 
 def test_wn_census_refuses_n_below_one():

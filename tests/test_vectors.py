@@ -30,6 +30,7 @@ from chamcovers.groups import element_index
 from chamcovers.vectors import _refinement_tree, drift, window
 from conftest import (
     oracle_canonical_class,
+    oracle_format_vector,
     oracle_span_order,
     oracle_word_entry,
     public_copy,
@@ -485,3 +486,20 @@ def test_format_parse_round_trip_over_product_groups(spec):
         back = parse_vector(group, text)
         assert back == h and back.key() == h.key()
         assert format_vector(back) == text
+
+
+@pytest.mark.parametrize(
+    "spec, count",
+    [("Z2", 60), ("Z10", 60), ("Z12", 60), ("Z100", 60), ("Z10xZ12", 60),
+     ("Z2xZ2xZ2", 60), ("Z10000", 10)],
+)
+def test_format_vector_matches_the_element_oracle(spec, count):
+    # format_vector joins label-table texts; the oracle joins str() of the
+    # decoded elements.  Multi-digit residues and several factors included.
+    group = parse_group(spec)
+    rng = random.Random(1901)
+    for _ in range(count):
+        h = raw_vector(group, rng)
+        text = format_vector(h)
+        assert text == oracle_format_vector(h)
+        assert parse_vector(group, text) == h
