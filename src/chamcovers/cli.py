@@ -24,6 +24,7 @@ from .degree2 import bitstring, count_closed_forms, orbit_census, realize_rank, 
 from .finite_index import decide_finite_index
 from .groups import parse_group
 from .orbit import (
+    DEFAULT_CAP,
     GraphType,
     dot_from_report,
     orbit_bfs,
@@ -31,7 +32,7 @@ from .orbit import (
     veech_index,
 )
 from .topology import construct_max_ends, ends_report
-from .vectors import canonical_class, format_vector, generates, parse_vector
+from .vectors import canonical_class, format_vector, parse_vector, require_generating
 
 
 class CliUsageError(ValueError):
@@ -57,10 +58,7 @@ def _vector(args):
 
 def _cover(args):
     """The vector of a cover, whose letters must generate the group."""
-    h = _vector(args)
-    if not generates(h):
-        raise ValueError("vector letters do not generate the group")
-    return h
+    return require_generating(_vector(args))
 
 
 def _render(args, report, text: str) -> int:
@@ -259,7 +257,7 @@ def _build_parser() -> _Parser:
 
     add("act", _cmd_act, group=True, vector=True, word=True)
     orbit_p = add("orbit", _cmd_orbit, group=True, vector=True)
-    orbit_p.add_argument("--cap", type=int, default=10000)
+    orbit_p.add_argument("--cap", type=int, default=DEFAULT_CAP)
     orbit_p.add_argument("--cache", default=None, metavar="DIR")
     add("index", _cmd_index, group=True, vector=True)
     wn_p = add("wn", _cmd_wn, n=True)

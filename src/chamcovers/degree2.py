@@ -15,7 +15,7 @@ need the general vector machinery (tests cross-check the two routes).
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -90,15 +90,16 @@ def is_weakly_n_periodic(h: EpVector, n: int) -> bool:
     return all((b - a) % 2 == step for a, b in zip(w, w[n:]))
 
 
-def wn_bits(n: int, star: bool) -> Iterable[tuple[int, ...]]:
-    """W_n's bit tuples, or W_n*'s when `star`, in lexicographic order; W_n's lazily."""
+def wn_bits(n: int, star: bool) -> Iterator[tuple[int, ...]]:
+    """W_n's bit tuples, or W_n*'s when `star`, lazily in lexicographic order."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > DEFAULT_ENUM_BOUND:
         raise ValueError(f"n={n} exceeds the enumeration bound {DEFAULT_ENUM_BOUND}")
+    tuples = itertools.product((0, 1), repeat=n)
     if star:
-        return _star_bits(n)
-    return itertools.islice(itertools.product((0, 1), repeat=n), 1, None)
+        return itertools.filterfalse(_outside_star(n).__contains__, tuples)
+    return itertools.islice(tuples, 1, None)
 
 
 def enumerate_wn(n: int) -> list[WnElement]:
@@ -106,19 +107,20 @@ def enumerate_wn(n: int) -> list[WnElement]:
     return [WnElement(n, bits) for bits in wn_bits(n, star=False)]
 
 
-def _star_bits(n: int) -> list[tuple[int, ...]]:
-    """The bit tuples of W_n*, in lexicographic order.
+def _outside_star(n: int) -> set[tuple[int, ...]]:
+    """The n-bit tuples outside W_n*: the zero tuple and the members of W_n
+    whose minimal weak period is less than n.
 
     A member of W_n has minimal weak period m < n exactly when it is the
     weakly m-periodic extension of its first m bits, for a proper divisor m
     of n (that extension is weakly n-periodic too).  The extension obeys
     h_j = h_{j-m} + h_m, so with bits[k] = h_{k+1} it is bits[k] =
-    bits[k - m] ^ bits[m - 1].  These extensions (2^m per divisor m, the
-    zero tuple among them) are built once, and W_n* is every other tuple.
+    bits[k - m] ^ bits[m - 1].  There are 2^m extensions per divisor m, the
+    zero tuple among them.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    lower = {(0,) * n}
+    outside = {(0,) * n}
     for m in range(1, n):
         if n % m == 0:
             for head in itertools.product((0, 1), repeat=m):
@@ -126,8 +128,8 @@ def _star_bits(n: int) -> list[tuple[int, ...]]:
                 c = head[-1]
                 for k in range(m, n):
                     ext.append(ext[k - m] ^ c)
-                lower.add(tuple(ext))
-    return [b for b in itertools.product((0, 1), repeat=n) if b not in lower]
+                outside.add(tuple(ext))
+    return outside
 
 
 def enumerate_wn_star(n: int) -> list[WnElement]:
@@ -214,24 +216,27 @@ def orbit_census(n: int) -> dict:
     """Orbit decomposition of W_n* under the two parabolic moves.
 
     Each orbit carries its size, its shape and its members as bitstrings in
-    lexicographic order.  One pass over W_n* in that order seeds every orbit
-    with its least member, so the orbits come out sorted by it.  P1 and P2
-    are involutions, so an orbit is a path ending in two loops ("Striezel")
-    when some member has a parabolic loop, else an even cycle ("Kranz").
+    lexicographic order.  One pass over the n-bit tuples in that order skips
+    those already placed (outside W_n* or in an earlier orbit) and seeds
+    every orbit with its least member, so the orbits come out sorted by it.
+    P1 and P2 are involutions, so an orbit is a path ending in two loops
+    ("Striezel") when some member has a parabolic loop, else an even cycle
+    ("Kranz").
     """
     if n > DEFAULT_CENSUS_BOUND:
         raise ValueError(f"n={n} exceeds the census bound {DEFAULT_CENSUS_BOUND}")
-    star = _star_bits(n)
-    unplaced = set(star)
+    placed = _outside_star(n)
+    wn_star = 2**n - len(placed)
     orbits = []
-    for seed in star:
-        if seed not in unplaced:
+    for seed in itertools.product((0, 1), repeat=n):
+        if seed in placed:
             continue
         orb, has_loop = _orbit_of(seed)
-        # Earlier orbits are disjoint from orb, so this checks orb <= W_n*.
-        if not orb <= unplaced:
+        # placed holds the tuples outside W_n* and the earlier orbits, which
+        # are disjoint from orb, so this checks orb <= W_n*.
+        if not placed.isdisjoint(orb):
             raise RuntimeError("an orbit left W_n*, which is move-invariant")
-        unplaced -= orb
+        placed |= orb
         orbits.append(
             {
                 "size": len(orb),
@@ -241,7 +246,7 @@ def orbit_census(n: int) -> dict:
         )
     return {
         "n": n,
-        "wn_star": len(star),
+        "wn_star": wn_star,
         "striezel": sum(1 for o in orbits if o["type"] == "Striezel"),
         "kranz": sum(1 for o in orbits if o["type"] == "Kranz"),
         "orbits": orbits,

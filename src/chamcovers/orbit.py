@@ -53,7 +53,11 @@ class SchreierGraph:
         return len(self.vertices)
 
 
-def orbit_bfs(h: EpVector, cap: int = 10000) -> SchreierGraph:
+# The default vertex cap of `orbit_bfs` and of `chamcovers orbit --cap`.
+DEFAULT_CAP = 10_000
+
+
+def orbit_bfs(h: EpVector, cap: int = DEFAULT_CAP) -> SchreierGraph:
     """Breadth-first closure of the class of h under both parabolic moves.
 
     Vertex 0 is `canonical_class(h)`.

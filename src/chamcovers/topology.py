@@ -13,7 +13,7 @@ import enum
 from dataclasses import dataclass
 
 from .groups import FinAbGroup, GroupElem, Subgroup, span
-from .vectors import EpVector, from_entries, generates, window
+from .vectors import EpVector, from_entries, require_generating, window
 
 
 class SurfaceKind(enum.Enum):
@@ -54,31 +54,23 @@ def alt_sum(h: EpVector, n_window: int) -> GroupElem:
     return sum(signed, h.group.zero())
 
 
-def end_subgroup(h: EpVector, n_window: int | None = None) -> Subgroup:
-    """G': generated by the alternating sum and the accumulation differences.
+def end_subgroup(h: EpVector) -> Subgroup:
+    """G': generated by the alternating sum over minimal_n(h) and the
+    accumulation differences.
 
     The differences to the least accumulation letter a0 (by residues) span
-    all of them, as a - b = (a - a0) - (b - a0).  The result does not depend
-    on n_window as long as it is at least minimal_n(h); passing a larger
-    window is allowed (and tested).
+    all of them, as a - b = (a - a0) - (b - a0).  Any window that clears
+    both prefixes gives the same G'.
     """
-    if n_window is None:
-        n_window = minimal_n(h)
-    elif n_window < minimal_n(h):
-        raise ValueError(
-            f"window {n_window} does not clear the prefixes (need >= {minimal_n(h)})"
-        )
     racc, lacc = accumulation_points(h)
     acc = racc | lacc
     a0 = min(acc, key=lambda e: e.residues)
-    return span(h.group, [alt_sum(h, n_window), *(a - a0 for a in acc)])
+    return span(h.group, [alt_sum(h, minimal_n(h)), *(a - a0 for a in acc)])
 
 
 def num_ends(h: EpVector) -> int:
     """The number of topological ends of the cover encoded by h."""
-    if not generates(h):
-        raise ValueError("vector letters do not generate the group")
-    return end_subgroup(h).index
+    return end_subgroup(require_generating(h)).index
 
 
 def classify_d2(h: EpVector) -> SurfaceKind:
@@ -103,8 +95,7 @@ def classify_d2(h: EpVector) -> SurfaceKind:
 
 def ends_report(h: EpVector) -> EndsReport:
     """The full end computation for one vector."""
-    if not generates(h):
-        raise ValueError("vector letters do not generate the group")
+    require_generating(h)
     n_window = minimal_n(h)
     racc, lacc = accumulation_points(h)
     kind = classify_d2(h) if h.group.order == 2 else None
@@ -113,7 +104,7 @@ def ends_report(h: EpVector) -> EndsReport:
         left_acc=lacc,
         n_window=n_window,
         alt_sum=alt_sum(h, n_window),
-        g_prime=end_subgroup(h, n_window),
+        g_prime=end_subgroup(h),
         d2_type=kind,
     )
 

@@ -248,6 +248,14 @@ def generates(h: EpVector) -> bool:
     return h._gen
 
 
+def require_generating(h: EpVector) -> EpVector:
+    """h, if its letters generate the group; otherwise the ValueError that
+    every command and function reading a cover raises."""
+    if not generates(h):
+        raise ValueError("vector letters do not generate the group")
+    return h
+
+
 def code_window(h: EpVector, m: int) -> tuple[int, ...]:
     """Codes of h_{-m..m} as a tuple w with w[m + k] the code of h_k
     (w[m] = 0, the code of h_0 = 0)."""
@@ -396,8 +404,7 @@ def canonical_class(h: EpVector) -> VectorClass:
     the key is stored as it is, since a letterwise image of a normal form is
     a normal form (see `apply_aut`).
     """
-    if not generates(h):
-        raise ValueError("vector letters do not generate the group")
+    require_generating(h)
     node = _refinement_tree(h.group)
     for c in h.letter_codes():
         if node.table is not None:

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import subprocess
 import sys
@@ -6,7 +7,18 @@ import time
 
 import pytest
 
-from chamcovers import WnElement, cli, enumerate_wn, enumerate_wn_star
+from chamcovers import (
+    WnElement,
+    canonical_class,
+    cli,
+    ends_report,
+    enumerate_wn,
+    enumerate_wn_star,
+    num_ends,
+    orbit_bfs,
+    parse_group,
+    parse_vector,
+)
 
 
 def run_cli(*args):
@@ -460,6 +472,23 @@ def test_index_and_orbit_refuse_a_non_generating_vector(group, vector, capsys):
         argv = ["act", "--group", group, "--word", "P1", "--vector", vector]
         assert cli.main([*argv, "--format", fmt]) == 0
         assert capsys.readouterr().err == ""
+
+
+def test_every_refusal_of_a_non_generating_vector_says_the_same(capsys):
+    message = "vector letters do not generate the group"
+    h = parse_vector(parse_group("Z4"), "L=(2);R=(2)")
+    for refuse in (canonical_class, num_ends, ends_report, orbit_bfs):
+        with pytest.raises(ValueError) as info:
+            refuse(h)
+        assert str(info.value) == message
+    for cmd in ("index", "orbit", "topology"):
+        assert cli.main([cmd, "--group", "Z4", "--vector", "L=(2);R=(2)"]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_orbit_cap_default_is_the_search_default():
+    args = cli._build_parser().parse_args(["orbit", "--group", "Z2", "--vector", PARITY])
+    assert args.cap == inspect.signature(orbit_bfs).parameters["cap"].default
 
 
 def test_wn_census_refuses_n_below_one():

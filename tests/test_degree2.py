@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 from sympy import mobius
@@ -223,6 +225,50 @@ def test_orbit_walk_refuses_a_move_that_is_not_an_involution(monkeypatch):
     monkeypatch.setattr(degree2, "p2_bits", lambda bits: (0, 1, 1))
     with pytest.raises(RuntimeError, match="not an involution"):
         _orbit_of((1, 1, 1))
+
+
+def test_census_refuses_an_orbit_that_leaves_the_star_family(monkeypatch):
+    # P1 swaps 01 and 10 and fixes 00 and 11; P2 fixes everything.  The orbit
+    # of 01 then holds 10, whose minimal weak period is 1, so it is not in W_2*.
+    swap = {(0, 1): (1, 0), (1, 0): (0, 1)}
+    monkeypatch.setattr(degree2, "p1_bits", lambda bits: swap.get(bits, bits))
+    monkeypatch.setattr(degree2, "p2_bits", lambda bits: bits)
+    with pytest.raises(RuntimeError, match=r"^an orbit left W_n\*"):
+        orbit_census(2)
+
+
+def test_star_bits_stream_from_the_least_tuple():
+    bits = degree2.wn_bits(20, True)
+    assert iter(bits) is bits
+    assert next(bits) == (0,) * 19 + (1,)
+
+
+# SHA-256 of json.dumps(orbit_census(n), sort_keys=True) for n = 1..16, as
+# computed by the census that listed W_n* before walking it.
+CENSUS_DIGESTS = {
+    1: "ed163033254f98fc9b4c4e3d2594e7e91b137af520ef7ce557a7d33e6d7050f7",
+    2: "b33c599d0bb7c0c416aea4e224723ed0f879947422f29e26f24396f5ebd71a9c",
+    3: "a324fb542a4a6c572571c3aeb5dfd091e8c7dd3eecec94068bc23c90740e4a18",
+    4: "fc2c1dc68bda99a07e965c3e05acb688ed76d5758629340df4012db9ea94dcb1",
+    5: "b02774cfa74360cd84c37f507debd9bf0d540b6f9895e16787fdefc447871ee9",
+    6: "73e9cf69ed32246d448e7eeabd5716779c0808b58c0d39d66aae9296336ac1be",
+    7: "53ee0add210f0684a122634a0bf9991a7fefaed4e8fba78dc195cc48af84fa28",
+    8: "0effb79a1b9a6b6f9b42360f0f6604cf70bfa87789689ef26d143142bb7ebc8e",
+    9: "25c4574921f0af1afd6e7815ed951d4dc6c085a3277733f407b90563d13300a5",
+    10: "3484107da9c19abcd072be3cfcb3f6ecaf85d4ddc4c905e94626a3a5d68fb736",
+    11: "a50d8f4cee2acb7bf64f494b0154da68a0d083e06d1b48e1958ec34742d2385c",
+    12: "e530f9a7c7cacfa6f842d6a2948440405bc03fbcc63ea7110b7a309e6bf1b3e9",
+    13: "ddcc2148e18746572101ed1f7f159ad7dd503cbf35113fc8b6e674662332ece6",
+    14: "76b0ed17edcc076ad1351a6c7e34d4ad9faf8b63523f68edb28463f853dd35ff",
+    15: "76df08a50049ed4452cdf8d7ef6931e5901e1b3967311a488fc34e2f1e8f1beb",
+    16: "fe458caadc983a543f3887d0ca560a31b0370879b57682e46e2064526943dd5f",
+}
+
+
+@pytest.mark.parametrize("n", sorted(CENSUS_DIGESTS))
+def test_census_matches_its_pinned_digest(n):
+    text = json.dumps(orbit_census(n), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CENSUS_DIGESTS[n]
 
 
 def test_census_and_star_family_refuse_out_of_range_n():
