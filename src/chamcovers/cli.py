@@ -20,7 +20,7 @@ import sys
 from pathlib import Path
 
 from .action import act_word, parse_word
-from .degree2 import bitstring, count_closed_forms, orbit_census, realize_rank, wn_bits
+from .degree2 import count_closed_forms, orbit_census, realize_rank, wn_bits
 from .finite_index import decide_finite_index
 from .groups import parse_group
 from .orbit import (
@@ -197,9 +197,18 @@ def _cmd_orbit(args) -> int:
 def _cmd_wn(args) -> int:
     if args.star and args.format == "json":  # only the JSON form runs the census
         return _render(args, orbit_census(args.n), "")
-    bitstrings = [bitstring(bits) for bits in wn_bits(args.n, args.star)]
-    report = {"n": args.n, "count": len(bitstrings), "members": bitstrings}
-    return _render(args, report, "\n".join(bitstrings))
+    # Each member is written as wn_bits yields its code: the bits after the
+    # marker bit.  members is the last key of the JSON listing of W_n, whose
+    # 2^n - 1 members are counted in advance, so that form streams too.
+    members = (f"{code:b}"[1:] for code in wn_bits(args.n, args.star))
+    if args.format == "text":
+        sys.stdout.writelines(f"{m}\n" for m in members)
+        return 0
+    head = _json({"n": args.n, "count": 2**args.n - 1, "members": []})[:-2]
+    sys.stdout.write(f'{head}"{next(members)}"')
+    sys.stdout.writelines(f',"{m}"' for m in members)
+    sys.stdout.write("]}\n")
+    return 0
 
 
 def _cmd_counts(args) -> int:

@@ -8,8 +8,16 @@ h_{q*n+r} = h_r + q * h_n (indices taken over the integers, h_0 = 0), which
 also makes every such vector fully 2n-periodic.  W_n is the set of these bit
 tuples; W_n* keeps those whose minimal weak period is exactly n.
 
-The parabolic letters act on bit tuples in closed form, so censuses never
-need the general vector machinery (tests cross-check the two routes).
+Inside this module a bit tuple is one int, its marker-bit code
+(1 << n) | x, where x holds h_1 as its most significant of n bits and h_n as
+its least.  The code alone gives n (code.bit_length() - 1), and numeric
+order on the codes of one n is the lexicographic order of the tuples.
+`wn_bits`, `p1_bits` and `p2_bits` take and give codes; `WnElement` keeps a
+tuple, and `enumerate_wn` and `enumerate_wn_star` convert at that edge.
+
+The parabolic letters act on codes in closed form (a bit reversal and a
+shear), so censuses never need the general vector machinery (tests
+cross-check the two routes).
 """
 
 from __future__ import annotations
@@ -29,12 +37,12 @@ DEFAULT_CENSUS_BOUND = 16
 # Largest n `count_closed_forms` accepts (its counts have about 0.3 n digits),
 # and largest r - 1 `realize_rank` accepts (its vector has about 4 r entries).
 MAX_COUNTS_N = 10_000
-# Byte table turning a tuple of 0/1 ints, as bytes, into its bitstring.
-_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+# _REV[b] is the byte b with its eight bits in reverse order.
+_REV = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def bitstring(bits: tuple[int, ...]) -> str:
-    return bytes(bits).translate(_DIGITS).decode()
+def _bits(code: int) -> tuple[int, ...]:
+    return tuple(map(int, f"{code:b}"[1:]))
 
 
 @dataclass(frozen=True)
@@ -53,7 +61,7 @@ class WnElement:
             raise ValueError("the zero tuple does not generate the group")
 
     def bitstring(self) -> str:
-        return bitstring(self.bits)
+        return "".join(map(str, self.bits))
 
 
 def _entry(bits: tuple[int, ...], j: int) -> int:
@@ -90,51 +98,54 @@ def is_weakly_n_periodic(h: EpVector, n: int) -> bool:
     return all((b - a) % 2 == step for a, b in zip(w, w[n:]))
 
 
-def wn_bits(n: int, star: bool) -> Iterator[tuple[int, ...]]:
-    """W_n's bit tuples, or W_n*'s when `star`, lazily in lexicographic order."""
+def wn_bits(n: int, star: bool) -> Iterator[int]:
+    """The codes of W_n, or of W_n* when `star`, lazily in increasing order
+    (the lexicographic order of the bit tuples)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if n > DEFAULT_ENUM_BOUND:
         raise ValueError(f"n={n} exceeds the enumeration bound {DEFAULT_ENUM_BOUND}")
-    tuples = itertools.product((0, 1), repeat=n)
+    codes = range(1 << n, 2 << n)
     if star:
-        return itertools.filterfalse(_outside_star(n).__contains__, tuples)
-    return itertools.islice(tuples, 1, None)
+        return itertools.filterfalse(_outside_star(n).__contains__, codes)
+    return iter(codes[1:])
 
 
 def enumerate_wn(n: int) -> list[WnElement]:
     """All of W_n in lexicographic bit order."""
-    return [WnElement(n, bits) for bits in wn_bits(n, star=False)]
+    return [WnElement(n, _bits(code)) for code in wn_bits(n, star=False)]
 
 
-def _outside_star(n: int) -> set[tuple[int, ...]]:
-    """The n-bit tuples outside W_n*: the zero tuple and the members of W_n
-    whose minimal weak period is less than n.
+def _outside_star(n: int) -> set[int]:
+    """The codes of the n-bit tuples outside W_n*: the zero tuple and the
+    members of W_n whose minimal weak period is less than n.
 
     A member of W_n has minimal weak period m < n exactly when it is the
     weakly m-periodic extension of its first m bits, for a proper divisor m
     of n (that extension is weakly n-periodic too).  The extension obeys
-    h_j = h_{j-m} + h_m, so with bits[k] = h_{k+1} it is bits[k] =
-    bits[k - m] ^ bits[m - 1].  There are 2^m extensions per divisor m, the
+    h_j = h_{j-m} + h_m, so each block of m bits is the one before it,
+    complemented when h_m is 1.  There are 2^m extensions per divisor m, the
     zero tuple among them.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    outside = {(0,) * n}
+    outside = {1 << n}
     for m in range(1, n):
         if n % m == 0:
-            for head in itertools.product((0, 1), repeat=m):
-                ext = list(head)
-                c = head[-1]
-                for k in range(m, n):
-                    ext.append(ext[k - m] ^ c)
-                outside.add(tuple(ext))
+            ones = (1 << m) - 1
+            for head in range(1 << m):
+                flip = ones if head & 1 else 0
+                code, block = 1, head
+                for _ in range(n // m):
+                    code = code << m | block
+                    block ^= flip
+                outside.add(code)
     return outside
 
 
 def enumerate_wn_star(n: int) -> list[WnElement]:
     """Members of W_n whose minimal weak period is exactly n, in bit order."""
-    return [WnElement(n, bits) for bits in wn_bits(n, star=True)]
+    return [WnElement(n, _bits(code)) for code in wn_bits(n, star=True)]
 
 
 @lru_cache(maxsize=None)
@@ -146,30 +157,43 @@ def _wn_star_count(n: int) -> int:
     return total
 
 
-def p1_bits(bits: tuple[int, ...]) -> tuple[int, ...]:
-    """The P1 move on bit tuples: reverse below n and shear by h_n.
+def p1_bits(code: int) -> int:
+    """The P1 move on codes: reverse h_1..h_{n-1} and shear them by h_n.
 
     Over Z2 the 2*S term of P1's formula vanishes, so h'_k = h_{-k}, and
-    weak n-periodicity gives h_{-k} = h_{n-k} + h_n (so h'_n = h_n).
+    weak n-periodicity gives h_{-k} = h_{n-k} + h_n (so h'_n = h_n).  The
+    reversed field is the m = n - 1 bits above bit 0, read through two
+    lookups in the byte table, so n is at most 17: a longer code raises
+    IndexError or ValueError (a negative shift), never a wrong code.
     """
-    c = bits[-1]
-    return (*[c ^ b for b in bits[-2::-1]], c)
+    m = code.bit_length() - 2
+    v = code >> 1 & (1 << m) - 1
+    r = (_REV[v & 255] << 8 | _REV[v >> 8]) >> 16 - m
+    if code & 1:
+        r ^= (1 << m) - 1
+    return (1 << m | r) << 1 | code & 1
 
 
-def p2_bits(bits: tuple[int, ...]) -> tuple[int, ...]:
-    """The P2 move on bit tuples, via h'_k = h_{-1} + h_{-k-1}.
+def p2_bits(code: int) -> int:
+    """The P2 move on codes, via h'_k = h_{-1} + h_{-k-1}.
 
     That is P2's formula over Z2, where its 2x terms vanish.  Put
     h_{-j} = h_{n-j} + h_n: the h_n terms cancel for k < n - 1, and
-    h'_{n-1} = h_{n-1}, h'_n = h_n.  At n = 1 the move is the identity.
+    h'_{n-1} = h_{n-1}, h'_n = h_n.  So h_1..h_{n-2}, the m = n - 2 bits
+    above bit 1, are reversed and sheared by h_{n-1}, as in `p1_bits`.  At
+    n = 1 the move is the identity.
     """
-    if len(bits) == 1:
-        return bits
-    c = bits[-2]
-    return (*[c ^ b for b in bits[-3::-1]], c, bits[-1])
+    m = code.bit_length() - 3
+    if m < 0:
+        return code
+    v = code >> 2 & (1 << m) - 1
+    r = (_REV[v & 255] << 8 | _REV[v >> 8]) >> 16 - m
+    if code & 2:
+        r ^= (1 << m) - 1
+    return (1 << m | r) << 2 | code & 3
 
 
-def _orbit_of(seed: tuple[int, ...]) -> tuple[set, bool]:
+def _orbit_of(seed: int) -> tuple[set, bool]:
     """The orbit of seed under both moves, and whether a move fixes a member.
 
     Both moves are involutions, so the orbit is a path or a cycle whose edges
@@ -216,9 +240,10 @@ def orbit_census(n: int) -> dict:
     """Orbit decomposition of W_n* under the two parabolic moves.
 
     Each orbit carries its size, its shape and its members as bitstrings in
-    lexicographic order.  One pass over the n-bit tuples in that order skips
-    those already placed (outside W_n* or in an earlier orbit) and seeds
-    every orbit with its least member, so the orbits come out sorted by it.
+    lexicographic order.  One pass over the n-bit codes in increasing order
+    skips those already placed (outside W_n* or in an earlier orbit) and
+    seeds every orbit with its least member, so the orbits come out sorted
+    by it.
     P1 and P2 are involutions, so an orbit is a path ending in two loops
     ("Striezel") when some member has a parabolic loop, else an even cycle
     ("Kranz").
@@ -228,11 +253,11 @@ def orbit_census(n: int) -> dict:
     placed = _outside_star(n)
     wn_star = 2**n - len(placed)
     orbits = []
-    for seed in itertools.product((0, 1), repeat=n):
+    for seed in range(1 << n, 2 << n):
         if seed in placed:
             continue
         orb, has_loop = _orbit_of(seed)
-        # placed holds the tuples outside W_n* and the earlier orbits, which
+        # placed holds the codes outside W_n* and the earlier orbits, which
         # are disjoint from orb, so this checks orb <= W_n*.
         if not placed.isdisjoint(orb):
             raise RuntimeError("an orbit left W_n*, which is move-invariant")
@@ -241,7 +266,7 @@ def orbit_census(n: int) -> dict:
             {
                 "size": len(orb),
                 "type": "Striezel" if has_loop else "Kranz",
-                "members": sorted([bitstring(b) for b in orb]),
+                "members": [f"{code:b}"[1:] for code in sorted(orb)],
             }
         )
     return {

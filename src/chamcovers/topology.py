@@ -62,10 +62,15 @@ def end_subgroup(h: EpVector) -> Subgroup:
     all of them, as a - b = (a - a0) - (b - a0).  Any window that clears
     both prefixes gives the same G'.
     """
+    return _end_subgroup(h, alt_sum(h, minimal_n(h)))
+
+
+def _end_subgroup(h: EpVector, total: GroupElem) -> Subgroup:
+    """G' from the alternating sum over minimal_n(h), already computed."""
     racc, lacc = accumulation_points(h)
     acc = racc | lacc
     a0 = min(acc, key=lambda e: e.residues)
-    return span(h.group, [alt_sum(h, minimal_n(h)), *(a - a0 for a in acc)])
+    return span(h.group, [total, *(a - a0 for a in acc)])
 
 
 def num_ends(h: EpVector) -> int:
@@ -97,14 +102,15 @@ def ends_report(h: EpVector) -> EndsReport:
     """The full end computation for one vector."""
     require_generating(h)
     n_window = minimal_n(h)
+    total = alt_sum(h, n_window)
     racc, lacc = accumulation_points(h)
     kind = classify_d2(h) if h.group.order == 2 else None
     return EndsReport(
         right_acc=racc,
         left_acc=lacc,
         n_window=n_window,
-        alt_sum=alt_sum(h, n_window),
-        g_prime=end_subgroup(h),
+        alt_sum=total,
+        g_prime=_end_subgroup(h, total),
         d2_type=kind,
     )
 

@@ -369,6 +369,20 @@ def weak_entry(bits: tuple[int, ...], j: int) -> int:
     return (base + q * bits[n - 1]) % 2
 
 
+def code_of(bits: tuple[int, ...]) -> int:
+    """The marker-bit code of a bit tuple: (1 << n) | x, h_1 most significant."""
+    code = 1
+    for b in bits:
+        code = 2 * code + b
+    return code
+
+
+def bits_of(code: int) -> tuple[int, ...]:
+    """The bit tuple of a marker-bit code."""
+    n = code.bit_length() - 1
+    return tuple((code >> (n - 1 - i)) & 1 for i in range(n))
+
+
 def oracle_p1_bits(bits: tuple[int, ...]) -> tuple[int, ...]:
     """P1 on bit tuples by walking the extension: h'_k = h_{n-k} + h_n."""
     n = len(bits)

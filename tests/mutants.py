@@ -49,16 +49,30 @@ MUTANTS = (
     Mutant(
         "star divisors from 2",
         "degree2.py",
-        "    outside = {(0,) * n}\n    for m in range(1, n):\n",
-        "    outside = {(0,) * n}\n    for m in range(2, n):\n",
+        "    outside = {1 << n}\n    for m in range(1, n):\n",
+        "    outside = {1 << n}\n    for m in range(2, n):\n",
         ("tests/test_degree2.py::test_enumerate_wn_star_small",),
     ),
     Mutant(
         "zero tuple inside W_n*",
         "degree2.py",
-        "    outside = {(0,) * n}\n",
+        "    outside = {1 << n}\n",
         "    outside = set()\n",
         ("tests/test_degree2.py::test_enumerate_wn_star_small",),
+    ),
+    Mutant(
+        "P2 shears by h_n instead of h_{n-1}",
+        "degree2.py",
+        "    if code & 2:\n",
+        "    if code & 1:\n",
+        ("tests/test_degree2.py::test_bit_moves_match_extension_oracle",),
+    ),
+    Mutant(
+        "orbit walk never leaves the seed by P2",
+        "degree2.py",
+        "    for first in (0, 1):\n",
+        "    for first in (0,):\n",
+        ("tests/test_degree2.py::test_orbit_walk_matches_oracle_from_every_seed",),
     ),
     Mutant(
         "census forgets placed orbits",

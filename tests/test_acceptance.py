@@ -51,7 +51,7 @@ from chamcovers import (
     realize_rank,
     word_matrix,
 )
-from conftest import h_pow_fixed, oracle_end_subgroup, random_vector
+from conftest import code_of, h_pow_fixed, oracle_end_subgroup, random_vector
 
 Z2 = parse_group("Z2")
 Z3 = parse_group("Z3")
@@ -111,9 +111,9 @@ def test_02_fixed_point_tables():
         counts = count_closed_forms(n)
         a1.append(counts["fixed_p1"])
         a2.append(counts["fixed_p2"])
-        star = enumerate_wn_star(n)
-        b1.append(sum(1 for e in star if p1_bits(e.bits) == e.bits))
-        b2.append(sum(1 for e in star if p2_bits(e.bits) == e.bits))
+        star = [code_of(e.bits) for e in enumerate_wn_star(n)]
+        b1.append(sum(1 for c in star if p1_bits(c) == c))
+        b2.append(sum(1 for c in star if p2_bits(c) == c))
     assert a1 == [1, 1, 3, 3, 7]
     assert b1 == [1, 0, 2, 2, 6]
     assert a2 == [1, 3, 3, 7, 7]
@@ -122,19 +122,19 @@ def test_02_fixed_point_tables():
 
 
 def test_03_example_orbit_diagrams():
-    def bits(s):
-        return tuple(int(ch) for ch in s)
+    def code(s):  # the code of the bit tuple spelled by s
+        return int("1" + s, 2)
 
     # One vertex, loops for both letters.
-    assert p1_bits(bits("1")) == bits("1")
-    assert p2_bits(bits("1")) == bits("1")
+    assert p1_bits(code("1")) == code("1")
+    assert p2_bits(code("1")) == code("1")
     assert [o["members"] for o in orbit_census(1)["orbits"]] == [["1"]]
 
     # Size-2 path: second letter loops at both vertices, first letter swaps.
     c2 = orbit_census(2)
     assert [o["members"] for o in c2["orbits"]] == [["01", "11"]]
-    assert p2_bits(bits("01")) == bits("01") and p2_bits(bits("11")) == bits("11")
-    assert p1_bits(bits("01")) == bits("11")
+    assert p2_bits(code("01")) == code("01") and p2_bits(code("11")) == code("11")
+    assert p1_bits(code("01")) == code("11")
     graph = orbit_bfs(expand(enumerate_wn(2)[0]))
     assert graph.order == 2
     assert graph.p1_edges == (1, 0) and graph.p2_edges == (0, 1)
@@ -146,14 +146,14 @@ def test_03_example_orbit_diagrams():
         ["010", "100", "110"],
     ]
     assert all(o["type"] == "Striezel" for o in c3["orbits"])
-    assert p1_bits(bits("011")) == bits("011")
-    assert p2_bits(bits("011")) == bits("111")
-    assert p1_bits(bits("111")) == bits("001")
-    assert p2_bits(bits("001")) == bits("001")
-    assert p1_bits(bits("110")) == bits("110")
-    assert p2_bits(bits("110")) == bits("010")
-    assert p1_bits(bits("010")) == bits("100")
-    assert p2_bits(bits("100")) == bits("100")
+    assert p1_bits(code("011")) == code("011")
+    assert p2_bits(code("011")) == code("111")
+    assert p1_bits(code("111")) == code("001")
+    assert p2_bits(code("001")) == code("001")
+    assert p1_bits(code("110")) == code("110")
+    assert p2_bits(code("110")) == code("010")
+    assert p1_bits(code("010")) == code("100")
+    assert p2_bits(code("100")) == code("100")
 
     # Three size-4 paths.
     c4 = orbit_census(4)
@@ -162,21 +162,21 @@ def test_03_example_orbit_diagrams():
         ["0010", "0100", "1000", "1110"],
         ["0101", "1001", "1011", "1101"],
     ]
-    assert p1_bits(bits("0100")) == bits("0100")
-    assert p2_bits(bits("0100")) == bits("1000")
-    assert p1_bits(bits("1000")) == bits("0010")
-    assert p2_bits(bits("0010")) == bits("1110")
-    assert p1_bits(bits("1110")) == bits("1110")
-    assert p2_bits(bits("0001")) == bits("0001")
-    assert p1_bits(bits("0001")) == bits("1111")
-    assert p2_bits(bits("1111")) == bits("0011")
-    assert p1_bits(bits("0011")) == bits("0111")
-    assert p2_bits(bits("0111")) == bits("0111")
-    assert p2_bits(bits("1011")) == bits("1011")
-    assert p1_bits(bits("1011")) == bits("0101")
-    assert p2_bits(bits("0101")) == bits("1001")
-    assert p1_bits(bits("1001")) == bits("1101")
-    assert p2_bits(bits("1101")) == bits("1101")
+    assert p1_bits(code("0100")) == code("0100")
+    assert p2_bits(code("0100")) == code("1000")
+    assert p1_bits(code("1000")) == code("0010")
+    assert p2_bits(code("0010")) == code("1110")
+    assert p1_bits(code("1110")) == code("1110")
+    assert p2_bits(code("0001")) == code("0001")
+    assert p1_bits(code("0001")) == code("1111")
+    assert p2_bits(code("1111")) == code("0011")
+    assert p1_bits(code("0011")) == code("0111")
+    assert p2_bits(code("0111")) == code("0111")
+    assert p2_bits(code("1011")) == code("1011")
+    assert p1_bits(code("1011")) == code("0101")
+    assert p2_bits(code("0101")) == code("1001")
+    assert p1_bits(code("1001")) == code("1101")
+    assert p2_bits(code("1101")) == code("1101")
     print("PASS 03 example orbit diagrams exact with bit labels")
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import inspect
+import io
 import json
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from chamcovers import (
     WnElement,
     canonical_class,
     cli,
+    degree2,
     ends_report,
     enumerate_wn,
     enumerate_wn_star,
@@ -430,6 +432,36 @@ def test_wn_lists_exactly_the_enumerated_members(star, capsys):
             assert sorted(m for o in report["orbits"] for m in o["members"]) == members
         else:
             assert report == {"n": n, "count": len(members), "members": members}
+
+
+# The JSON form of --star is the census report, which is not a listing.
+@pytest.mark.parametrize("fmt, star", [("text", False), ("text", True), ("json", False)])
+def test_wn_writes_each_member_as_its_code_arrives(fmt, star, monkeypatch):
+    out = io.StringIO()
+    written = []  # characters on stdout as each code is handed out
+
+    def codes(n, star):
+        for code in degree2.wn_bits(n, star):
+            written.append(len(out.getvalue()))
+            yield code
+
+    monkeypatch.setattr(cli, "wn_bits", codes)
+    monkeypatch.setattr(sys, "stdout", out)
+    flag = ["--star"] if star else []
+    assert cli.main(["wn", "--n", "8", *flag, "--format", fmt]) == 0
+    text = out.getvalue()
+    monkeypatch.undo()
+    members = [e.bitstring() for e in (enumerate_wn_star if star else enumerate_wn)(8)]
+    if fmt == "text":
+        assert text == "\n".join(members) + "\n"
+        # Every line before a code is already written when the code arrives.
+        assert written == [9 * k for k in range(len(members))]
+    else:
+        assert text == json.dumps(
+            {"n": 8, "count": len(members), "members": members}, separators=(",", ":")
+        ) + "\n"
+        head = len('{"n":8,"count":255,"members":[')
+        assert written == [0] + [head + 11 * k - 1 for k in range(1, len(members))]
 
 
 @pytest.mark.parametrize("star", [False, True])

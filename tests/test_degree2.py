@@ -32,7 +32,14 @@ from chamcovers import (
 )
 from chamcovers import degree2
 from chamcovers.degree2 import MAX_COUNTS_N, _orbit_of
-from conftest import oracle_has_loop, oracle_orbit, oracle_p1_bits, oracle_p2_bits
+from conftest import (
+    bits_of,
+    code_of,
+    oracle_has_loop,
+    oracle_orbit,
+    oracle_p1_bits,
+    oracle_p2_bits,
+)
 
 Z2 = parse_group("Z2")
 Z3 = parse_group("Z3")
@@ -134,14 +141,10 @@ def test_star_recursion_matches_mobius_sum_for_n_at_least_2():
 def test_fixed_point_counts_match_enumeration():
     for n in range(1, 11):
         counts = count_closed_forms(n)
-        members = enumerate_wn(n)
-        fixed1 = sum(1 for e in members if p1_bits(e.bits) == e.bits)
-        fixed2 = sum(1 for e in members if p2_bits(e.bits) == e.bits)
-        both = sum(
-            1
-            for e in members
-            if p1_bits(e.bits) == e.bits and p2_bits(e.bits) == e.bits
-        )
+        codes = [code_of(e.bits) for e in enumerate_wn(n)]
+        fixed1 = sum(1 for c in codes if p1_bits(c) == c)
+        fixed2 = sum(1 for c in codes if p2_bits(c) == c)
+        both = sum(1 for c in codes if p1_bits(c) == c and p2_bits(c) == c)
         assert counts["fixed_p1"] == fixed1
         assert counts["fixed_p2"] == fixed2
         assert counts["fixed_both"] == both == 1
@@ -159,17 +162,33 @@ def test_striezel_count_matches_census():
 def test_bit_actions_are_involutions():
     for n in range(1, 9):
         for e in enumerate_wn(n):
-            assert p1_bits(p1_bits(e.bits)) == e.bits
-            assert p2_bits(p2_bits(e.bits)) == e.bits
+            c = code_of(e.bits)
+            assert p1_bits(p1_bits(c)) == c
+            assert p2_bits(p2_bits(c)) == c
 
 
 def test_bit_moves_match_extension_oracle():
-    # The closed forms against the entry walk over the weak extension.
+    # The code moves against the entry walk over the weak extension, on every
+    # n-bit tuple (the zero tuple too), converted to codes and back.
     for n in range(1, 13):
         for bits in itertools.product((0, 1), repeat=n):
-            if any(bits):
-                assert p1_bits(bits) == oracle_p1_bits(bits)
-                assert p2_bits(bits) == oracle_p2_bits(bits)
+            code = code_of(bits)
+            assert bits_of(code) == bits
+            assert p1_bits(code) == code_of(oracle_p1_bits(bits))
+            assert p2_bits(code) == code_of(oracle_p2_bits(bits))
+            assert bits_of(p1_bits(code)) == oracle_p1_bits(bits)
+            assert bits_of(p2_bits(code)) == oracle_p2_bits(bits)
+
+
+def test_bit_moves_raise_beyond_seventeen_bits():
+    # The reversal reads two bytes of its table, enough for 16 reversed bits.
+    for n in (18, 19, 20):
+        for code in ((1 << n) | 1, (1 << n) | 2, (2 << n) - 1):
+            with pytest.raises((IndexError, ValueError)):
+                p1_bits(code)
+            if n > 18:
+                with pytest.raises((IndexError, ValueError)):
+                    p2_bits(code)
 
 
 def test_census_matches_oracle_census():
@@ -214,33 +233,35 @@ def test_orbit_walk_matches_oracle_from_every_seed(monkeypatch):
                 for b in orb:
                     oracle[b] = (orb, oracle_has_loop(orb))
             calls[0] = 0
-            orb, has_loop = _orbit_of(e.bits)
-            assert (orb, has_loop) == oracle[e.bits]
+            orb, has_loop = _orbit_of(code_of(e.bits))
+            assert ({bits_of(c) for c in orb}, has_loop) == oracle[e.bits]
             assert calls[0] == len(orb) + has_loop
 
 
 def test_orbit_walk_refuses_a_move_that_is_not_an_involution(monkeypatch):
     # 111 -P1-> 001 -P2-> 011 -P1-> 001 again, which an involution cannot do.
-    monkeypatch.setattr(degree2, "p1_bits", lambda bits: (0, 0, 1))
-    monkeypatch.setattr(degree2, "p2_bits", lambda bits: (0, 1, 1))
+    monkeypatch.setattr(degree2, "p1_bits", lambda code: code_of((0, 0, 1)))
+    monkeypatch.setattr(degree2, "p2_bits", lambda code: code_of((0, 1, 1)))
     with pytest.raises(RuntimeError, match="not an involution"):
-        _orbit_of((1, 1, 1))
+        _orbit_of(code_of((1, 1, 1)))
 
 
 def test_census_refuses_an_orbit_that_leaves_the_star_family(monkeypatch):
     # P1 swaps 01 and 10 and fixes 00 and 11; P2 fixes everything.  The orbit
     # of 01 then holds 10, whose minimal weak period is 1, so it is not in W_2*.
-    swap = {(0, 1): (1, 0), (1, 0): (0, 1)}
-    monkeypatch.setattr(degree2, "p1_bits", lambda bits: swap.get(bits, bits))
-    monkeypatch.setattr(degree2, "p2_bits", lambda bits: bits)
+    swap = {code_of((0, 1)): code_of((1, 0)), code_of((1, 0)): code_of((0, 1))}
+    monkeypatch.setattr(degree2, "p1_bits", lambda code: swap.get(code, code))
+    monkeypatch.setattr(degree2, "p2_bits", lambda code: code)
     with pytest.raises(RuntimeError, match=r"^an orbit left W_n\*"):
         orbit_census(2)
 
 
 def test_star_bits_stream_from_the_least_tuple():
-    bits = degree2.wn_bits(20, True)
-    assert iter(bits) is bits
-    assert next(bits) == (0,) * 19 + (1,)
+    codes = degree2.wn_bits(20, True)
+    assert iter(codes) is codes
+    first = next(codes)
+    assert first == (1 << 20) | 1
+    assert bits_of(first) == (0,) * 19 + (1,)
 
 
 # SHA-256 of json.dumps(orbit_census(n), sort_keys=True) for n = 1..16, as
@@ -287,11 +308,12 @@ def test_bit_actions_match_vector_actions():
     for n in range(1, 7):
         for e in enumerate_wn(n):
             h = expand(e)
+            c = code_of(e.bits)
             assert canonical_class(act_p1(h)) == canonical_class(
-                expand(WnElement(n, p1_bits(e.bits)))
+                expand(WnElement(n, bits_of(p1_bits(c))))
             )
             assert canonical_class(act_p2(h)) == canonical_class(
-                expand(WnElement(n, p2_bits(e.bits)))
+                expand(WnElement(n, bits_of(p2_bits(c))))
             )
 
 
@@ -349,15 +371,16 @@ def test_no_small_degenerate_graphs():
             if o["type"] == "Kranz":
                 assert o["size"] >= 6
             if o["size"] == 2:
-                a, b = (tuple(int(ch) for ch in m) for m in o["members"])
+                a, b = (int("1" + m, 2) for m in o["members"])
                 assert not (p1_bits(a) == a and p1_bits(b) == b)
 
 
 def test_striezel_orbits_have_size_n():
-    for n in range(1, 10):
+    # The census shape law: every Striezel orbit has n members and every
+    # Kranz orbit 2n.
+    for n in range(1, 17):
         for o in orbit_census(n)["orbits"]:
-            if o["type"] == "Striezel":
-                assert o["size"] == n
+            assert o["size"] == (n if o["type"] == "Striezel" else 2 * n)
 
 
 def test_realize_rank_small():

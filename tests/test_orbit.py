@@ -26,7 +26,7 @@ from chamcovers import (
 )
 from chamcovers import orbit
 from chamcovers.orbit import SchreierGraph
-from conftest import h_pow_fixed, oracle_orbit_bfs, public_copy, random_vector
+from conftest import code_of, h_pow_fixed, oracle_orbit_bfs, public_copy, random_vector
 
 Z2 = parse_group("Z2")
 Z3 = parse_group("Z3")
@@ -128,8 +128,8 @@ def test_classify_cycle_orbit():
 
     seed = None
     for e in enumerate_wn_star(6):
-        orbit = {e.bits}
-        frontier = [e.bits]
+        orbit = {code_of(e.bits)}
+        frontier = list(orbit)
         while frontier:
             b = frontier.pop()
             for img in (p1_bits(b), p2_bits(b)):

@@ -20,6 +20,7 @@ from chamcovers import (
     parse_group,
     parse_vector,
 )
+from chamcovers import topology
 from conftest import oracle_end_subgroup, random_vector, raw_vector
 
 Z2 = parse_group("Z2")
@@ -168,6 +169,19 @@ def test_construct_max_ends_frozen_forms():
         format_vector(construct_max_ends(V4))
         == "L=0:0,1:0,0:1|(0:0);R=1:1|(0:0)"
     )
+
+
+def test_ends_report_takes_the_alternating_sum_once(monkeypatch):
+    calls = []
+    counted = lambda h, n_window: calls.append(n_window) or alt_sum(h, n_window)
+    monkeypatch.setattr(topology, "alt_sum", counted)
+    for text in ("L=(0);R=1,1|(0)", "L=1,0|(1);R=(0,1)"):
+        h = parse_vector(Z2, text)
+        calls.clear()
+        rep = ends_report(h)
+        assert calls == [minimal_n(h)]
+        assert rep.alt_sum == alt_sum(h, minimal_n(h))
+        assert rep.g_prime == end_subgroup(h)
 
 
 def test_ends_report_shape():
