@@ -8,23 +8,34 @@ prefix + period: the output entries are Z-linear in input entries and in the
 running sums S(t) = sum_{j=1..t} (-h_j + h_{-j}).  The kernel reads the input
 as one `vectors.code_window` of element codes; for each cyclic factor Z_{n_i}
 of G it evaluates the formulas on that factor's plain int residues, summing S
-only for the letters that read it, reduces each output mod n_i, and folds the
+only where a letter reads it, reduces each output mod n_i, and folds the
 residues back into output codes.  This is exact, as a Z-linear formula
 commutes with projecting to a factor and with reducing mod its modulus.  A
 kernel letter's formula is one list comprehension that zips slices of
 the residue and running-sum columns, laid out in output order, so no Python
-call is made per entry.  With L and R the left and right period words and
-p = lcm(|L|, |R|), S gains the constant drift delta = `vectors.drift`(h, p)
-over any p indexes past both prefixes, so the output of a letter that reads
-S has period p * order(2 * delta).  A second full output window is checked
-against the first before the result is trusted.
+call is made per entry.
 
-The output shape (prefix length, period and the number of entries
-synthesized per side), the window's residue columns and the running sums
-depend only on the input and on the letter's kind (how far it reaches,
-whether it reads S), not on its formula.  They form one frame, and the last
-frame is kept: an orbit search applies P1, P1^-1, P2 and P2^-1 to each
-vertex in turn, and the four letters share the frame built for the first.
+Only the parabolic letters read S, and every term they read from it is
+doubled, so on a factor of modulus 2 they read none: there
+(P1 h)_k = (P1^-1 h)_k = h_{-k} and (P2 h)_k = (P2^-1 h)_k = h_{-1} + h_{-k-1}
+(h_{-1} at k = -1).  Where some factor reads S, the two output sides share
+one period: with L and R the left and right period words and
+p = lcm(|L|, |R|), S gains the constant drift delta = `vectors.drift`(h, p)
+over any p indexes past both prefixes, so the output has period
+p * order(2 * delta).  Where no factor reads S (the P letters over a group
+whose moduli are all 2, and H^n over any group), each output side reads
+one input side and keeps its period: R for the right output side of H^n
+and L for that of the P letters, and the other word for the left side.
+Each output side's first period is checked against the next before the
+result is trusted.
+
+The output shape (each side's prefix length and period, and the number of
+entries synthesized per side), the window's residue columns and the running
+sums depend only on the input and on the letter's kind (how far it
+reaches, whether it is parabolic), not on its formula.  They form one
+frame, and the last frame is kept: an orbit search applies P1, P1^-1, P2
+and P2^-1 to each vertex in turn, and the four letters share the frame
+built for the first.
 The frame's period still reads one `GroupElem` order (see `_frame`).
 
 P1, P1^-1, P2, P2^-1 and H^n (n >= 1) have entry formulas.  With the
@@ -106,8 +117,12 @@ _WORD_TOKEN_RE = re.compile(r"(P1|P2|-I|H)(?:\^(-?[0-9]+))?")
 # a longer word asks for unbounded work and is refused.
 MAX_WORD_EXPONENT = 10_000
 
-# Largest side_len of `_frame`: long coprime periods in a few KB of input can
-# ask for millions of entries per side.  Z2 periods 997 and 991 (1 976 056) run.
+# Largest side_len of `_frame`: where a letter reads S, both output sides take
+# the period lcm(|L|, |R|) * order(2 * delta), so long coprime periods in a
+# few KB of input can ask for millions of entries per side.  P1 on Z3 periods
+# 997 and 991 with zero drift (1 976 056) runs; with a drift of order 3
+# (5 928 164) it is refused.  A letter that reads no S writes at most its
+# longer input side's prefix plus grow plus two periods.
 MAX_LETTER_SIDE = 2**21
 
 
@@ -201,29 +216,45 @@ def word_matrix(w: Word) -> Mat2Q:
 def _frame(h: EpVector, grow: int, drifts: bool):
     """The shape and input columns every letter of one kind reads at h.
 
-    Returns (k0, period, side_len, columns): the output prefix length k0,
-    the output period, the number side_len = k0 + 2 period of output entries
+    Returns (right, left, side_len, columns): each output side's shape
+    (prefix length, period), the number side_len of output entries
     synthesized on each side, and per cyclic factor Z_n a column (e, s, n).
     e[k] is the residue of h_k for |k| <= side_len + grow (a negative k
-    indexes from the end) and s[t] that of S(t), or s is None when the
-    letters do not read S.  The output prefix is at most `grow` longer than
-    the input's, and an output entry reads input entries at most `grow`
-    indexes further out.  Letters that read S (`drifts`) multiply the period
-    by order(2 * delta).  That order is taken on a `GroupElem`, the one
-    element operator left on the orbit search path, because the benchmark
-    counts those operators there and predicts a nonzero count.
+    indexes from the end) and s[t] that of S(t), or s is None where the
+    letters do not read S.  An output prefix is at most `grow` longer than
+    the input prefix it reads, and an output entry reads input entries at
+    most `grow` indexes further out.
+
+    The parabolic letters (`drifts`) double every term they read from S, so
+    on a factor of modulus 2 they read no S.  Over a group with a modulus
+    above 2 they read S there, and both output sides share the prefix
+    length k0 = longest input prefix + grow and the period
+    lcm(|L|, |R|) * order(2 * delta).  That order is taken on a `GroupElem`,
+    the one element operator left on the orbit search path, because the
+    benchmark counts those operators there and predicts a nonzero count.
+    Where no factor reads S (P letters over a group whose moduli are all 2,
+    and H^n always), each output side reads one input side, the opposite one
+    for P letters and the same one for H^n, and takes that side's prefix
+    length plus grow and its period.  side_len = max(k0 + 2 period) over
+    the two sides.
 
     The last frame is kept, so P1, P1^-1, P2 and P2^-1 at one orbit vertex
     build it once.  Its tuples are shared and never written.
     """
-    k0 = max(len(h.rpre), len(h.lpre)) + grow
-    p = math.lcm(len(h.rper), len(h.lper))
-    period = p
-    if drifts:
+    moduli = h.group.moduli
+    if drifts and moduli.count(2) < len(moduli):
+        k0 = max(len(h.rpre), len(h.lpre)) + grow
+        p = math.lcm(len(h.rper), len(h.lper))
         # Becomes int arithmetic, like `drift`, once the benchmark's
         # groups.elem_ops prediction for orbit-grow is 0 (ROADMAP item 1).
-        period *= drift(h, p).scale(2).order()
-    side_len = k0 + 2 * period
+        right = left = (k0, p * drift(h, p).scale(2).order())
+        side_len = k0 + 2 * right[1]
+    else:
+        # The input words each output side reads, right side first.
+        rpre, rper, lpre, lper = (h.lpre, h.lper, h.rpre, h.rper) if drifts else h.key()
+        right = (len(rpre) + grow, len(rper))
+        left = (len(lpre) + grow, len(lper))
+        side_len = max(right[0] + 2 * right[1], left[0] + 2 * left[1])
     if side_len > MAX_LETTER_SIDE:
         raise ValueError(
             f"letter output needs {side_len} entries per side, "
@@ -233,13 +264,13 @@ def _frame(h: EpVector, grow: int, drifts: bool):
     w = code_window(h, m)
     w = w[m:] + w[:m]
     columns = []
-    for col, n in zip(residue_columns(h.group), h.group.moduli):
+    for col, n in zip(residue_columns(h.group), moduli):
         e = tuple([col[c] for c in w])
         s = None
-        if drifts:
+        if drifts and n > 2:
             s = tuple(accumulate(map(sub, e[-1 : -m - 1 : -1], e[1 : m + 1]), initial=0))
         columns.append((e, s, n))
-    return k0, period, side_len, tuple(columns)
+    return right, left, side_len, tuple(columns)
 
 
 def _act(h: EpVector, residues, grow: int, drifts: bool) -> EpVector:
@@ -250,18 +281,26 @@ def _act(h: EpVector, residues, grow: int, drifts: bool) -> EpVector:
     the int columns of `_frame`.  The formulas are Z-linear, so their values
     mod n are exactly that factor's residues of the group-element results;
     the output codes are built factor by factor as code * n + residue.
+    Each side's first period is checked against the next one.
     """
-    k0, period, side_len, columns = _frame(h, grow, drifts)
+    (k0, p), (k1, q), side_len, columns = _frame(h, grow, drifts)
     codes = None
     for e, s, n in columns:
         out = residues(e, s, n, side_len)
         codes = out if codes is None else [c * n + r for c, r in zip(codes, out)]
-    words = []
-    for side in (codes[:side_len], codes[side_len:]):
-        if side[k0 + period :] != side[k0 : k0 + period]:
-            raise RuntimeError("synthesized tail failed its window check")
-        words += [tuple(side[:k0]), tuple(side[k0 : k0 + period])]
-    return EpVector._from_codes(h.group, *words, h._gen)
+    j = side_len + k1  # the left side's first period starts at codes[j]
+    if codes[k0 + p : k0 + 2 * p] != codes[k0 : k0 + p] or (
+        codes[j + q : j + 2 * q] != codes[j : j + q]
+    ):
+        raise RuntimeError("synthesized tail failed its window check")
+    return EpVector._from_codes(
+        h.group,
+        tuple(codes[:k0]),
+        tuple(codes[k0 : k0 + p]),
+        tuple(codes[side_len:j]),
+        tuple(codes[j : j + q]),
+        h._gen,
+    )
 
 
 def _reflect(h: EpVector) -> EpVector:
@@ -276,10 +315,14 @@ def _reflect(h: EpVector) -> EpVector:
 
 # The parabolic letters, each as one comprehension over slices of a frame
 # column laid out in output order: an index column that reads h_{-k} at
-# k = 1..L and h_k at k = -1..-L is e[-1:-L-1:-1] + e[1:L+1].
+# k = 1..L and h_k at k = -1..-L is e[-1:-L-1:-1] + e[1:L+1].  On a factor
+# of modulus 2 (s is None) every doubled term vanishes: P1 and P1^-1 both
+# give the reflected column, and P2 and P2^-1 both give h_{-1} + h_{-k-1}.
 
 
 def _p1_residues(e, s, n, L):
+    if s is None:
+        return e[-1 : -L - 1 : -1] + e[1 : L + 1]
     return [
         (x + 2 * y) % n
         for x, y in zip(e[-1 : -L - 1 : -1] + e[1 : L + 1], s[:L] + s[1 : L + 1])
@@ -287,6 +330,8 @@ def _p1_residues(e, s, n, L):
 
 
 def _p1_inv_residues(e, s, n, L):
+    if s is None:
+        return _p1_residues(e, s, n, L)
     return [
         (x - 2 * y) % n
         for x, y in zip(e[-1 : -L - 1 : -1] + e[1 : L + 1], s[1 : L + 1] + s[:L])
@@ -297,11 +342,14 @@ def _p2_residues(e, s, n, L):
     # (P2 h)_k = h_{-1} + h_{-k-1} + 2 h_{-|k|} + 2 S(|k| - 1), but h_{-1} at k = -1
     # (output position L); c = e[-1] is a residue already.
     c = e[-1]
-    near = e[-1 : -L - 1 : -1]
-    out = [
-        (c + x + 2 * (y + z)) % n
-        for x, y, z in zip(e[-2 : -L - 2 : -1] + e[:L], near + near, s[:L] * 2)
-    ]
+    if s is None:
+        out = [c ^ x for x in e[-2 : -L - 2 : -1] + e[:L]]
+    else:
+        near = e[-1 : -L - 1 : -1]
+        out = [
+            (c + x + 2 * (y + z)) % n
+            for x, y, z in zip(e[-2 : -L - 2 : -1] + e[:L], near + near, s[:L] * 2)
+        ]
     out[L] = c
     return out
 
@@ -309,6 +357,8 @@ def _p2_residues(e, s, n, L):
 def _p2_inv_residues(e, s, n, L):
     # (P2^-1 h)_k = -2 S(k if k > 0 else -k - 1) - h_{-1} - h_{-k-1}, but h_{-1}
     # at k = -1 (output position L).
+    if s is None:
+        return _p2_residues(e, s, n, L)
     c = e[-1]
     out = [
         (-c - x - 2 * y) % n

@@ -106,6 +106,20 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "Z3 factors skip S like Z2 factors",
+        "action.py",
+        "        if drifts and n > 2:\n",
+        "        if drifts and n > 3:\n",
+        ("tests/test_action.py::test_actions_match_window_oracle_on_seeded_corpus",),
+    ),
+    Mutant(
+        "P letters without S keep each input side's shape",
+        "action.py",
+        "(h.lpre, h.lper, h.rpre, h.rper) if drifts else h.key()",
+        "h.key()",
+        ("tests/test_action.py::test_p_letters_over_exponent_two_groups_are_involutions",),
+    ),
+    Mutant(
         "normal side does not rotate its period",
         "vectors.py",
         "    return prefix[: len(prefix) - j], period[r:] + period[:r]\n",

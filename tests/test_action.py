@@ -462,6 +462,41 @@ def test_letter_side_bound_edge(monkeypatch):
     assert entries_agree(act_p1(h), lambda k: oracle_p1(h, k))
 
 
+def test_letters_without_s_build_each_side_to_its_own_shape(monkeypatch):
+    # Over Z2 no P letter reads S, so each output side keeps the period of
+    # the input side it reads (the opposite one), and H^n never reads S and
+    # keeps the period of the same side: about 2 000 entries per side where
+    # one shared period would ask for 997 * 991.
+    monkeypatch.setattr(action, "MAX_LETTER_SIDE", 2100)
+    _frame.cache_clear()
+    h = parse_vector(Z2, COPRIME_Z3)
+    oracles = (oracle_p1, oracle_p1_inv, oracle_p2, oracle_p2_inv)
+    for act, oracle in zip(P_LETTERS, oracles):
+        out = act(h)
+        assert (len(out.right_period), len(out.left_period)) == (991, 997), act.__name__
+        assert entries_agree(out, lambda k: oracle(h, k), radius=2100), act.__name__
+    h = parse_vector(Z3, COPRIME_Z3)
+    for act, oracle in ((act_h, oracle_h), (act_h_inv, oracle_h_inv)):
+        out = act(h)
+        assert (len(out.right_period), len(out.left_period)) == (997, 991), act.__name__
+        assert entries_agree(out, lambda k: oracle(h, k), radius=2100), act.__name__
+
+
+def test_p_letters_over_exponent_two_groups_are_involutions():
+    # Where 2x = 0 every doubled term vanishes: P1 = P1^-1 = R and P2 = P2^-1.
+    # R h is built from the swapped element words by the public constructor.
+    rng = random.Random(2222)
+    for group in (Z2, V4, PRODUCT_GROUPS[2]):
+        for _ in range(30):
+            h = random_vector(group, rng, max_prefix=4, max_period=7)
+            rpre, rper, lpre, lper = element_words(h)
+            rh = EpVector(group, lpre, lper, rpre, rper)
+            assert act_p1(h) == act_p1_inv(h) == rh, format_vector(h)
+            out = act_p2(h)
+            assert act_p2_inv(h) == out, format_vector(h)
+            assert entries_agree(out, lambda k: oracle_p2(h, k), radius=24)
+
+
 def test_word_inverse_round_trip():
     rng = random.Random(606)
     w = parse_word("P1^-2,H^3,P2,-I")
