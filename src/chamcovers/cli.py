@@ -163,7 +163,8 @@ def _cmd_orbit(args) -> int:
         return _render(args, {"finite": False, "witness": verdict.witness}, "infinite")
     cache_file = None
     if args.cache is not None:
-        canonical = format_vector(canonical_class(h).representative)
+        h = canonical_class(h)
+        canonical = format_vector(h)
         cache_file = _cache_path(args.cache, h.group.spec(), canonical)
         report = _load_cached_report(cache_file, canonical)
         # An orbit larger than the cap gets the verdict of a fresh search.

@@ -163,12 +163,14 @@ def p1_bits(code: int) -> int:
     Over Z2 the 2*S term of P1's formula vanishes, so h'_k = h_{-k}, and
     weak n-periodicity gives h_{-k} = h_{n-k} + h_n (so h'_n = h_n).  The
     reversed field is the m = n - 1 bits above bit 0, read through two
-    lookups in the byte table, so n is at most 17: a longer code raises
-    IndexError or ValueError (a negative shift), never a wrong code.
+    lookups in the byte table, so n is at most 17 (ValueError beyond it).
     """
     m = code.bit_length() - 2
     v = code >> 1 & (1 << m) - 1
-    r = (_REV[v & 255] << 8 | _REV[v >> 8]) >> 16 - m
+    try:
+        r = (_REV[v & 255] << 8 | _REV[v >> 8]) >> 16 - m
+    except (IndexError, ValueError):
+        raise ValueError(f"p1_bits takes codes of n <= 17, got n = {m + 1}") from None
     if code & 1:
         r ^= (1 << m) - 1
     return (1 << m | r) << 1 | code & 1
@@ -180,14 +182,17 @@ def p2_bits(code: int) -> int:
     That is P2's formula over Z2, where its 2x terms vanish.  Put
     h_{-j} = h_{n-j} + h_n: the h_n terms cancel for k < n - 1, and
     h'_{n-1} = h_{n-1}, h'_n = h_n.  So h_1..h_{n-2}, the m = n - 2 bits
-    above bit 1, are reversed and sheared by h_{n-1}, as in `p1_bits`.  At
-    n = 1 the move is the identity.
+    above bit 1, are reversed and sheared by h_{n-1}, as in `p1_bits`, so
+    n is at most 18.  At n = 1 the move is the identity.
     """
     m = code.bit_length() - 3
     if m < 0:
         return code
     v = code >> 2 & (1 << m) - 1
-    r = (_REV[v & 255] << 8 | _REV[v >> 8]) >> 16 - m
+    try:
+        r = (_REV[v & 255] << 8 | _REV[v >> 8]) >> 16 - m
+    except (IndexError, ValueError):
+        raise ValueError(f"p2_bits takes codes of n <= 18, got n = {m + 2}") from None
     if code & 2:
         r ^= (1 << m) - 1
     return (1 << m | r) << 2 | code & 3

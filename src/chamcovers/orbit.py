@@ -89,11 +89,10 @@ def orbit_bfs(h: EpVector, cap: int = DEFAULT_CAP) -> SchreierGraph:
     cap_hit = False
     i = 0
     while i < len(vertices) and not cap_hit:
-        rep = vertices[i].representative
         for m, (act, edges) in enumerate(moves):
             j = known[m].pop(i, None)
             if j is None:
-                cls = canonical_class(act(rep))
+                cls = canonical_class(act(vertices[i]))
                 j = index.get(cls)
                 if j is None:
                     if len(vertices) >= cap:
@@ -240,9 +239,7 @@ def orbit_report(graph: SchreierGraph) -> dict:
         kind = None
     return {
         "order": graph.order,
-        "vertices": [
-            format_vector(c.representative) for c in graph.vertices
-        ],
+        "vertices": [format_vector(c) for c in graph.vertices],
         "p1_edges": list(graph.p1_edges),
         "p2_edges": list(graph.p2_edges),
         "type": kind,

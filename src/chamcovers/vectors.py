@@ -37,7 +37,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from functools import cache
 
 from .groups import (
@@ -128,7 +127,7 @@ class EpVector:
         raise AttributeError(f"cannot delete field {name!r} of an EpVector")
 
     def __reduce__(self):
-        return EpVector._from_codes, (self.group, *self.key())
+        return type(self)._from_codes, (self.group, *self.key())
 
     @property
     def right_prefix(self) -> tuple[GroupElem, ...]:
@@ -189,7 +188,7 @@ class EpVector:
         return self._hash
 
     def __repr__(self) -> str:
-        return f"EpVector({self.group}, {format_vector(self)!r})"
+        return f"{type(self).__name__}({self.group}, {format_vector(self)!r})"
 
     def __str__(self) -> str:
         return format_vector(self)
@@ -223,11 +222,8 @@ def _normal_side(prefix, period) -> tuple[tuple, tuple]:
 
 
 def normalize(h: EpVector) -> EpVector:
-    """h itself, as every `EpVector` is stored in normal form.
-
-    Kept in the public API: callers such as the tests and the benchmark
-    workloads still spell the step out.
-    """
+    """h itself, as every `EpVector` is stored in normal form; kept in the
+    public API for the tests and the benchmark workloads, which call it."""
     return h
 
 
@@ -328,19 +324,18 @@ def apply_aut(phi: Automorphism, h: EpVector) -> EpVector:
     )
 
 
-@dataclass(frozen=True)
-class VectorClass:
-    """An orbit of vectors under letterwise group automorphisms.
+class VectorClass(EpVector):
+    """An orbit of vectors under letterwise group automorphisms, stored as
+    its least vector; only `canonical_class` makes one."""
 
-    Stored as the lexicographically least representative, so equality and
-    hashing are representative equality.
-    """
+    __slots__ = ()
 
-    representative: EpVector
+    def __init__(self, *args) -> None:
+        raise TypeError("a VectorClass is made only by canonical_class")
 
     @property
-    def group(self) -> FinAbGroup:
-        return self.representative.group
+    def representative(self) -> "VectorClass":
+        return self
 
 
 class _Refinement(dict):
@@ -400,9 +395,9 @@ def canonical_class(h: EpVector) -> VectorClass:
     holding 100 800 survivor entries, over Z2^4.
 
     The image is read off the surviving automorphism's code table as a key.
-    When it equals h's own key, h itself is the representative; otherwise
-    the key is stored as it is, since a letterwise image of a normal form is
-    a normal form (see `apply_aut`).
+    When it equals h's own key, a class h is returned itself and a plain h
+    lends the new class its words; otherwise the key is stored as it is, as
+    a letterwise image of a normal form is a normal form (see `apply_aut`).
     """
     require_generating(h)
     node = _refinement_tree(h.group)
@@ -413,8 +408,10 @@ def canonical_class(h: EpVector) -> VectorClass:
     table = node.survivors[0].codes
     key = tuple([tuple([table[c] for c in word]) for word in h.key()])
     if key == h.key():
-        return VectorClass(h)
-    return VectorClass(EpVector._from_normal_codes(h.group, *key, h._gen))
+        if type(h) is VectorClass:
+            return h
+        key = h.key()
+    return VectorClass._from_normal_codes(h.group, *key, h._gen)
 
 
 _TAIL_RE = re.compile(r"([0-9:,]*)(\|?)\(([0-9:,]*)\)")

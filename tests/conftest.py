@@ -15,7 +15,6 @@ from chamcovers import (
     EpVector,
     FinAbGroup,
     GroupElem,
-    VectorClass,
     automorphisms,
     generates,
     normalize,
@@ -249,16 +248,17 @@ def public_copy(h: EpVector) -> EpVector:
     return EpVector(h.group, *element_words(h))
 
 
-def oracle_canonical_class(h: EpVector) -> VectorClass:
+def oracle_canonical_class(h: EpVector) -> EpVector:
     """The image with the least residue words over every automorphism, by
     brute force: each image maps the elements of h's words one by one and
-    is normalized by the public constructor."""
+    is normalized by the public constructor.  The least image is the class,
+    so it compares equal to `canonical_class(h)`."""
     images = (
         EpVector(h.group, *(tuple(phi(e) for e in w) for w in element_words(h)))
         for phi in automorphisms(h.group)
     )
     key = lambda v: [[e.residues for e in w] for w in element_words(v)]
-    return VectorClass(min(images, key=key))
+    return min(images, key=key)
 
 
 def oracle_image(h: EpVector, oracle) -> EpVector:
@@ -288,7 +288,7 @@ def oracle_orbit_bfs(h: EpVector, cap: int):
     was never expanded has None edges.
     """
     moves = (oracle_p1, oracle_p1_inv, oracle_p2, oracle_p2_inv)
-    reps = [oracle_canonical_class(h).representative]
+    reps = [oracle_canonical_class(h)]
     index = {reps[0]: 0}
     p1, p2 = {}, {}
     cap_hit = False
@@ -297,7 +297,7 @@ def oracle_orbit_bfs(h: EpVector, cap: int):
         rep = reps[i]
         for move, forward in zip(moves, (p1, None, p2, None)):
             img = oracle_image(rep, lambda k: move(rep, k))
-            cls = oracle_canonical_class(img).representative
+            cls = oracle_canonical_class(img)
             j = index.get(cls)
             if j is None:
                 if len(reps) >= cap:

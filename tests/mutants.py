@@ -89,6 +89,13 @@ MUTANTS = (
         ("tests/test_degree2.py::test_orbit_walk_matches_oracle_from_every_seed",),
     ),
     Mutant(
+        "census walk flags every cycle as a path",
+        "degree2.py",
+        "                    return seen, False\n",
+        "                    return seen, True\n",
+        ("tests/test_degree2.py::test_census_matches_oracle_census",),
+    ),
+    Mutant(
         "known move stored for the move itself",
         "orbit.py",
         "                known[m ^ 1][j] = i\n",
@@ -104,6 +111,13 @@ MUTANTS = (
             "tests/test_action.py::"
             "test_p2_near_entries_match_window_oracle_on_product_and_cyclic_groups",
         ),
+    ),
+    Mutant(
+        "P2 reads h_{-k} for h_{-k-1} where it reads S",
+        "action.py",
+        "zip(e[-2 : -L - 2 : -1] + e[:L], near + near, s[:L] * 2)",
+        "zip(e[-1 : -L - 1 : -1] + e[:L], near + near, s[:L] * 2)",
+        ("tests/test_action.py::test_actions_match_window_oracle_on_seeded_corpus",),
     ),
     Mutant(
         "Z3 factors skip S like Z2 factors",
@@ -132,6 +146,13 @@ MUTANTS = (
         "        least = min([phi.codes[c] for phi in self.survivors])\n",
         "        least = max([phi.codes[c] for phi in self.survivors])\n",
         ("tests/test_vectors.py::test_canonical_class_matches_brute_force_oracle",),
+    ),
+    Mutant(
+        "any least input is returned as its own class",
+        "vectors.py",
+        "        if type(h) is VectorClass:\n",
+        "        if True:\n",
+        ("tests/test_orbit.py::test_orbit_vertices_are_their_own_least_vectors",),
     ),
     Mutant(
         "corner relation never fails",

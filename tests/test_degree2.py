@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 from sympy import mobius
@@ -181,13 +182,20 @@ def test_bit_moves_match_extension_oracle():
 
 
 def test_bit_moves_raise_beyond_seventeen_bits():
-    # The reversal reads two bytes of its table, enough for 16 reversed bits.
-    for n in (18, 19, 20):
+    # The reversal reads two bytes of its table, enough for 16 reversed bits:
+    # P1 still matches the oracle at n = 17 and P2 at n = 18, one past that
+    # each names its bound.
+    rng = random.Random(17)
+    for n, move, oracle in ((17, p1_bits, oracle_p1_bits), (18, p2_bits, oracle_p2_bits)):
+        edges = [(1,) * n, (0,) * (n - 1) + (1,), (1,) + (0,) * (n - 1)]
+        for bits in edges + [tuple(rng.choices((0, 1), k=n)) for _ in range(200)]:
+            assert move(code_of(bits)) == code_of(oracle(bits))
+    for n in (18, 19, 20, 25):
         for code in ((1 << n) | 1, (1 << n) | 2, (2 << n) - 1):
-            with pytest.raises((IndexError, ValueError)):
+            with pytest.raises(ValueError, match=rf"^p1_bits .* n <= 17, got n = {n}$"):
                 p1_bits(code)
             if n > 18:
-                with pytest.raises((IndexError, ValueError)):
+                with pytest.raises(ValueError, match=rf"^p2_bits .* n <= 18, got n = {n}$"):
                     p2_bits(code)
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from chamcovers import (
     GraphType,
+    VectorClass,
     WnElement,
     act_word,
     canonical_class,
@@ -312,6 +313,24 @@ def test_orbit_vertices_generate_the_group():
         for cls in graph.vertices:
             assert cls.representative._gen is True
             assert generates(public_copy(cls.representative))
+
+
+def test_orbit_vertices_are_their_own_least_vectors():
+    # One object per class: each vertex is the class's least vector itself,
+    # with no wrapper and no per-instance dict, and is canonical as it is.
+    starts = (
+        FOURP,
+        parse_vector(Z3, "L=(1,0);R=(1,0)"),
+        parse_vector(parse_group("Z2xZ4"), "L=1:3,0:2|(1:1,0:1);R=0:1|(1:0,1:2,0:3)"),
+    )
+    for h in starts:
+        graph = orbit_bfs(h, cap=40)
+        assert graph.order > 1
+        for v in graph.vertices:
+            assert type(v) is VectorClass
+            assert v.representative is v
+            assert not hasattr(v, "__dict__")
+            assert canonical_class(v) is v
 
 
 def test_orbit_bfs_refuses_a_non_generating_start():

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from chamcovers import (
     EpVector,
     FinAbGroup,
+    VectorClass,
     VectorParseError,
     apply_aut,
     automorphisms,
@@ -29,6 +30,7 @@ from chamcovers.action import _reflect
 from chamcovers.groups import element_index
 from chamcovers.vectors import _refinement_tree, drift, window
 from conftest import (
+    element_words,
     oracle_canonical_class,
     oracle_format_vector,
     oracle_span_order,
@@ -300,8 +302,8 @@ def test_canonical_class_matches_brute_force_oracle():
 
 
 def test_canonical_class_returns_a_least_representative_itself():
-    # A vector that is already the least image is its own representative, not
-    # a copy; any other input gets the oracle's representative and keeps its
+    # A class that is already the least image is returned itself, not a copy;
+    # any other input gets the oracle's representative and keeps its
     # remembered generation answer.
     starts = (
         (Z3, "L=(1,0);R=(1,0)"),
@@ -323,6 +325,33 @@ def test_canonical_class_returns_a_least_representative_itself():
                 assert got.representative._gen is img._gen is True
                 moved += 1
     assert moved > 20
+
+
+def test_a_class_is_its_least_vector():
+    # A plain vector that is its own least image gives a new class sharing
+    # its words; the class is an EpVector equal to it, and is returned
+    # unchanged by canonical_class.  Pickling and copying keep the type.
+    rng = random.Random(24)
+    for spec in ("Z3", "Z4", "Z2xZ2", "Z2xZ4", "Z2xZ2xZ2"):
+        group = parse_group(spec)
+        for _ in range(5):
+            least = oracle_canonical_class(random_vector(group, rng))
+            cls = canonical_class(least)
+            assert type(least) is EpVector and type(cls) is VectorClass
+            assert cls is not least and cls.representative is cls
+            assert cls == least and hash(cls) == hash(least)
+            assert all(a is b for a, b in zip(cls.key(), least.key()))
+            assert {least: 0}[cls] == 0
+            assert canonical_class(cls) is cls
+            assert not hasattr(cls, "__dict__")
+            assert repr(cls) == f"VectorClass({group}, {format_vector(least)!r})"
+            for twin in (pickle.loads(pickle.dumps(cls)), copy.deepcopy(cls)):
+                assert type(twin) is VectorClass and twin is not cls
+                assert twin == cls and hash(twin) == hash(cls)
+                assert canonical_class(twin) is twin
+            for args in ((least,), (group, *element_words(least))):
+                with pytest.raises(TypeError, match="only by canonical_class"):
+                    VectorClass(*args)
 
 
 def test_canonical_class_matches_the_z2x4_golden():
