@@ -5,15 +5,16 @@ letter H = -P1*P2, and their inverses act on eventually periodic vectors entry
 by entry.  -I negates each letter (`vectors.apply_aut`).  One kernel runs
 every other letter and synthesizes the output directly as
 prefix + period: the output entries are Z-linear in input entries and in the
-running sums S(t) = sum_{j=1..t} (-h_j + h_{-j}).  The kernel reads the input
-as one `vectors.code_window` of element codes; for each cyclic factor Z_{n_i}
-of G it evaluates the formulas on that factor's plain int residues, summing S
-only where a letter reads it, reduces each output mod n_i, and folds the
-residues back into output codes.  This is exact, as a Z-linear formula
-commutes with projecting to a factor and with reducing mod its modulus.  A
-kernel letter's formula is one list comprehension that zips slices of
-the residue and running-sum columns, laid out in output order, so no Python
-call is made per entry.
+running sums S(t) = sum_{j=1..t} (-h_j + h_{-j}).  The kernel reads each side
+of the input outward, as the vector stores its words (`vectors.side_codes`:
+h_1, h_2, ... and h_-1, h_-2, ...); for each cyclic factor Z_{n_i} of G it
+evaluates the formulas on that factor's plain int residues, summing S only
+where a letter reads it, reduces each output mod n_i, and folds the residues
+back into output codes.  This is exact, as a Z-linear formula commutes with
+projecting to a factor and with reducing mod its modulus.  A kernel letter's
+formula is one list comprehension that zips forward slices of the residue
+and running-sum columns, laid out in output order, so no Python call is made
+per entry.
 
 Only the parabolic letters read S, and every term they read from it is
 doubled, so on a factor of modulus 2 they read none: there
@@ -30,7 +31,7 @@ Each output side's first period is checked against the next before the
 result is trusted.
 
 The output shape (each side's prefix length and period, and the number of
-entries synthesized per side), the window's residue columns and the running
+entries synthesized per side), the sides' residue columns and the running
 sums depend only on the input and on the letter's kind (how far it
 reaches, whether it is parabolic), not on its formula.  They form one
 frame, and the last frame is kept: an orbit search applies P1, P1^-1, P2
@@ -75,7 +76,7 @@ from itertools import accumulate
 from operator import sub
 
 from .groups import negation, residue_columns
-from .vectors import EpVector, apply_aut, code_window, drift
+from .vectors import EpVector, apply_aut, drift, side_codes
 
 
 class WordParseError(ValueError):
@@ -113,7 +114,7 @@ def simplify_word(letters) -> Word:
 _WORD_TOKEN_RE = re.compile(r"(P1|P2|-I|H)(?:\^(-?[0-9]+))?")
 
 # Largest total |exponent| of a parsed word (after merging adjacent runs).
-# P1^k runs as k letter steps and H^k builds windows of about 2k entries, so
+# P1^k runs as k letter steps and H^k reads side columns of about 2k entries, so
 # a longer word asks for unbounded work and is refused.
 MAX_WORD_EXPONENT = 10_000
 
@@ -218,12 +219,12 @@ def _frame(h: EpVector, grow: int, drifts: bool):
 
     Returns (right, left, side_len, columns): each output side's shape
     (prefix length, period), the number side_len of output entries
-    synthesized on each side, and per cyclic factor Z_n a column (e, s, n).
-    e[k] is the residue of h_k for |k| <= side_len + grow (a negative k
-    indexes from the end) and s[t] that of S(t), or s is None where the
-    letters do not read S.  An output prefix is at most `grow` longer than
-    the input prefix it reads, and an output entry reads input entries at
-    most `grow` indexes further out.
+    synthesized on each side, and per cyclic factor Z_n a column (r, l, s, n).
+    With m = side_len + grow, r[i] and l[i] are the residues of h_{i+1} and
+    h_{-i-1} for i < m, each side read outward, and s[t] is that of S(t) for
+    t <= m, or s is None where the letters do not read S.  An output prefix
+    is at most `grow` longer than the input prefix it reads, and an output
+    entry reads input entries at most `grow` indexes further out.
 
     The parabolic letters (`drifts`) double every term they read from S, so
     on a factor of modulus 2 they read no S.  Over a group with a modulus
@@ -261,22 +262,19 @@ def _frame(h: EpVector, grow: int, drifts: bool):
             f"more than the bound {MAX_LETTER_SIDE}"
         )
     m = side_len + grow
-    w = code_window(h, m)
-    w = w[m:] + w[:m]
+    sides = side_codes(h.rpre, h.rper, m), side_codes(h.lpre, h.lper, m)
     columns = []
     for col, n in zip(residue_columns(h.group), moduli):
-        e = tuple([col[c] for c in w])
-        s = None
-        if drifts and n > 2:
-            s = tuple(accumulate(map(sub, e[-1 : -m - 1 : -1], e[1 : m + 1]), initial=0))
-        columns.append((e, s, n))
+        r, l = [tuple([col[c] for c in side]) for side in sides]
+        s = tuple(accumulate(map(sub, l, r), initial=0)) if drifts and n > 2 else None
+        columns.append((r, l, s, n))
     return right, left, side_len, tuple(columns)
 
 
 def _act(h: EpVector, residues, grow: int, drifts: bool) -> EpVector:
     """The kernel behind every letter: one frame, one pass per factor.
 
-    `residues(e, s, n, side_len)` returns one cyclic factor's output
+    `residues(r, l, s, n, side_len)` returns one cyclic factor's output
     residues mod n, h'_1 .. h'_side_len then h'_-1 .. h'_-side_len, from
     the int columns of `_frame`.  The formulas are Z-linear, so their values
     mod n are exactly that factor's residues of the group-element results;
@@ -285,9 +283,9 @@ def _act(h: EpVector, residues, grow: int, drifts: bool) -> EpVector:
     """
     (k0, p), (k1, q), side_len, columns = _frame(h, grow, drifts)
     codes = None
-    for e, s, n in columns:
-        out = residues(e, s, n, side_len)
-        codes = out if codes is None else [c * n + r for c, r in zip(codes, out)]
+    for r, l, s, n in columns:
+        out = residues(r, l, s, n, side_len)
+        codes = out if codes is None else [c * n + x for c, x in zip(codes, out)]
     j = side_len + k1  # the left side's first period starts at codes[j]
     if codes[k0 + p : k0 + 2 * p] != codes[k0 : k0 + p] or (
         codes[j + q : j + 2 * q] != codes[j : j + q]
@@ -313,57 +311,46 @@ def _reflect(h: EpVector) -> EpVector:
     )
 
 
-# The parabolic letters, each as one comprehension over slices of a frame
-# column laid out in output order: an index column that reads h_{-k} at
-# k = 1..L and h_k at k = -1..-L is e[-1:-L-1:-1] + e[1:L+1].  On a factor
-# of modulus 2 (s is None) every doubled term vanishes: P1 and P1^-1 both
-# give the reflected column, and P2 and P2^-1 both give h_{-1} + h_{-k-1}.
+# The parabolic letters, each as one comprehension over forward slices of a
+# frame column laid out in output order: an index column that reads h_{-k}
+# at k = 1..L and h_k at k = -1..-L is l[:L] + r[:L].  On a factor of
+# modulus 2 (s is None) every doubled term vanishes: P1 and P1^-1 both give
+# the reflected column, and P2 and P2^-1 both give h_{-1} + h_{-k-1}.
 
 
-def _p1_residues(e, s, n, L):
+def _p1_residues(r, l, s, n, L):
     if s is None:
-        return e[-1 : -L - 1 : -1] + e[1 : L + 1]
-    return [
-        (x + 2 * y) % n
-        for x, y in zip(e[-1 : -L - 1 : -1] + e[1 : L + 1], s[:L] + s[1 : L + 1])
-    ]
+        return l[:L] + r[:L]
+    return [(x + 2 * y) % n for x, y in zip(l[:L] + r[:L], s[:L] + s[1 : L + 1])]
 
 
-def _p1_inv_residues(e, s, n, L):
+def _p1_inv_residues(r, l, s, n, L):
     if s is None:
-        return _p1_residues(e, s, n, L)
-    return [
-        (x - 2 * y) % n
-        for x, y in zip(e[-1 : -L - 1 : -1] + e[1 : L + 1], s[1 : L + 1] + s[:L])
-    ]
+        return _p1_residues(r, l, s, n, L)
+    return [(x - 2 * y) % n for x, y in zip(l[:L] + r[:L], s[1 : L + 1] + s[:L])]
 
 
-def _p2_residues(e, s, n, L):
+def _p2_residues(r, l, s, n, L):
     # (P2 h)_k = h_{-1} + h_{-k-1} + 2 h_{-|k|} + 2 S(|k| - 1), but h_{-1} at k = -1
-    # (output position L); c = e[-1] is a residue already.
-    c = e[-1]
+    # (output position L, where `far` reads h_0); c = l[0] is a residue already.
+    c = l[0]
+    far = l[1 : L + 1] + (0,) + r[: L - 1]
     if s is None:
-        out = [c ^ x for x in e[-2 : -L - 2 : -1] + e[:L]]
+        out = [c ^ x for x in far]
     else:
-        near = e[-1 : -L - 1 : -1]
-        out = [
-            (c + x + 2 * (y + z)) % n
-            for x, y, z in zip(e[-2 : -L - 2 : -1] + e[:L], near + near, s[:L] * 2)
-        ]
+        out = [(c + x + 2 * (y + z)) % n for x, y, z in zip(far, l[:L] * 2, s[:L] * 2)]
     out[L] = c
     return out
 
 
-def _p2_inv_residues(e, s, n, L):
+def _p2_inv_residues(r, l, s, n, L):
     # (P2^-1 h)_k = -2 S(k if k > 0 else -k - 1) - h_{-1} - h_{-k-1}, but h_{-1}
     # at k = -1 (output position L).
     if s is None:
-        return _p2_residues(e, s, n, L)
-    c = e[-1]
-    out = [
-        (-c - x - 2 * y) % n
-        for x, y in zip(e[-2 : -L - 2 : -1] + e[:L], s[1 : L + 1] + s[:L])
-    ]
+        return _p2_residues(r, l, s, n, L)
+    c = l[0]
+    far = l[1 : L + 1] + (0,) + r[: L - 1]
+    out = [(-c - x - 2 * y) % n for x, y in zip(far, s[1 : L + 1] + s[:L])]
     out[L] = c
     return out
 
@@ -374,13 +361,13 @@ def _h_pow(h: EpVector, n: int) -> EpVector:
     if n < 0:
         return _reflect(_h_pow(_reflect(h), -n))
 
-    def residues(e, s, mod, L):
+    def residues(r, l, s, mod, L):
         # H^n (n >= 1): h'_k = h_{k-n} + c outside 1..n, c = sum 2^(n-j) h_{-j}.
         # The head h'_k = c - 2 h_{k-n-1} - T_k (1 <= k <= n) uses the running
         # term T_n = 0, T_{k-1} = 2 T_k + 3 h_{k-n-1}.  c (by Horner) and T both
         # read h_{-1} .. h_{-n} and are kept mod `mod`, as they would otherwise
         # grow to about 2^n; the head is built from k = n down to 1.
-        near = e[-1 : -n - 1 : -1]
+        near = l[:n]
         c = 0
         for x in near:
             c = (2 * c + x) % mod
@@ -389,7 +376,7 @@ def _h_pow(h: EpVector, n: int) -> EpVector:
         for x in near:
             head.append((c - 2 * x - t) % mod)
             t = (2 * t + 3 * x) % mod
-        tail = e[1 : L - n + 1] + e[-n - 1 : -L - n - 1 : -1]
+        tail = r[: L - n] + l[n : L + n]
         return head[::-1] + [(x + c) % mod for x in tail]
 
     return _act(h, residues, n + 2, False)

@@ -18,6 +18,20 @@ tuple, and `enumerate_wn` and `enumerate_wn_star` convert at that edge.
 The parabolic letters act on codes in closed form (a bit reversal and a
 shear), so censuses never need the general vector machinery (tests
 cross-check the two routes).
+
+The census shape law: on W_n* every Striezel orbit has exactly n members and
+every Kranz orbit 2n.  Over Z2, -I is trivial and H = -P1 P2, so H acts as
+T = P1 o P2 (P2 first).  P1 and P2 are involutions, so P1 T P1 = P2 T P2 =
+T^-1, and as H^d fixes exactly the weakly d-periodic vectors, T, P1 and P2
+keep every weak period, and so W_n*.  The d >= 1 with T^d x = x, for x in
+W_n*, are the multiples of the least one d0 and include n, so d0 <= n; x is
+weakly d0-periodic, so d0 >= n: every T-orbit in W_n* has n members.  An
+orbit of the two involutions is a path with a loop (a member that P1 or P2
+fixes) at each end, a Striezel, or a cycle whose edges alternate between
+them, a Kranz.  T moves a member two steps along it, turning at a loop, so
+it cycles all k members of a path (k = n) and splits a cycle of 2k members
+into two T-orbits of k (k = n).  `test_striezel_orbits_have_size_n` checks
+the law for n <= 16.
 """
 
 from __future__ import annotations
@@ -248,10 +262,7 @@ def orbit_census(n: int) -> dict:
     lexicographic order.  One pass over the n-bit codes in increasing order
     skips those already placed (outside W_n* or in an earlier orbit) and
     seeds every orbit with its least member, so the orbits come out sorted
-    by it.
-    P1 and P2 are involutions, so an orbit is a path ending in two loops
-    ("Striezel") when some member has a parabolic loop, else an even cycle
-    ("Kranz").
+    by it.  An orbit is a Striezel path or a Kranz cycle (module docstring).
     """
     if n > DEFAULT_CENSUS_BOUND:
         raise ValueError(f"n={n} exceeds the census bound {DEFAULT_CENSUS_BOUND}")

@@ -71,7 +71,7 @@ class EpVector:
     vector they read, as their outputs span what their inputs span.
     """
 
-    __slots__ = ("group", "rpre", "rper", "lpre", "lper", "_hash", "_gen")
+    __slots__ = ("group", "rpre", "rper", "lpre", "lper", "_gen")
 
     def __init__(
         self,
@@ -117,7 +117,6 @@ class EpVector:
         put(self, "rper", rper)
         put(self, "lpre", lpre)
         put(self, "lper", lper)
-        put(self, "_hash", hash((group.moduli, rpre, rper, lpre, lper)))
         put(self, "_gen", gen)
 
     def __setattr__(self, name, value) -> None:
@@ -178,14 +177,12 @@ class EpVector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, EpVector):
             return NotImplemented
-        return (
-            self._hash == other._hash
-            and self.key() == other.key()
-            and (self.group is other.group or self.group == other.group)
+        return self.key() == other.key() and (
+            self.group is other.group or self.group == other.group
         )
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.group.moduli, self.rpre, self.rper, self.lpre, self.lper))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.group}, {format_vector(self)!r})"
@@ -252,14 +249,16 @@ def require_generating(h: EpVector) -> EpVector:
     return h
 
 
+def side_codes(prefix, period, m: int) -> tuple[int, ...]:
+    """The first m codes of one side read outward: h_1 .. h_m from the right
+    words, h_-1 .. h_-m from the left ones."""
+    return (prefix + period * -(-m // len(period)))[:m]
+
+
 def code_window(h: EpVector, m: int) -> tuple[int, ...]:
     """Codes of h_{-m..m} as a tuple w with w[m + k] the code of h_k
     (w[m] = 0, the code of h_0 = 0)."""
-
-    def side(prefix, period):
-        return (prefix + period * -(-m // len(period)))[:m]
-
-    return side(h.lpre, h.lper)[::-1] + (0,) + side(h.rpre, h.rper)
+    return side_codes(h.lpre, h.lper, m)[::-1] + (0,) + side_codes(h.rpre, h.rper, m)
 
 
 def window(h: EpVector, m: int) -> tuple[GroupElem, ...]:

@@ -115,16 +115,23 @@ MUTANTS = (
     Mutant(
         "P2 reads h_{-k} for h_{-k-1} where it reads S",
         "action.py",
-        "zip(e[-2 : -L - 2 : -1] + e[:L], near + near, s[:L] * 2)",
-        "zip(e[-1 : -L - 1 : -1] + e[:L], near + near, s[:L] * 2)",
+        "zip(far, l[:L] * 2, s[:L] * 2)",
+        "zip(l[:L] + (0,) + r[: L - 1], l[:L] * 2, s[:L] * 2)",
         ("tests/test_action.py::test_actions_match_window_oracle_on_seeded_corpus",),
     ),
     Mutant(
         "Z3 factors skip S like Z2 factors",
         "action.py",
-        "        if drifts and n > 2:\n",
-        "        if drifts and n > 3:\n",
+        " if drifts and n > 2 else None\n",
+        " if drifts and n > 3 else None\n",
         ("tests/test_action.py::test_actions_match_window_oracle_on_seeded_corpus",),
+    ),
+    Mutant(
+        "H^n tail reads one left entry too far out",
+        "action.py",
+        "        tail = r[: L - n] + l[n : L + n]\n",
+        "        tail = r[: L - n] + l[n + 1 : L + n + 1]\n",
+        ("tests/test_action.py::test_h_pow_matches_window_oracle",),
     ),
     Mutant(
         "P letters without S keep each input side's shape",

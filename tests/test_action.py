@@ -441,10 +441,10 @@ def test_letter_refuses_an_output_side_above_the_bound(monkeypatch):
     h = parse_vector(Z3, COPRIME_Z3)
     assert (len(h.right_period), len(h.left_period)) == (997, 991)
 
-    def no_window(*args):
+    def no_side(*args):
         raise AssertionError("the frame was built")
 
-    monkeypatch.setattr(action, "code_window", no_window)
+    monkeypatch.setattr(action, "side_codes", no_side)
     _frame.cache_clear()
     for act in P_LETTERS:
         with pytest.raises(ValueError, match="needs 5928164 entries per side"):

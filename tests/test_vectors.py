@@ -28,7 +28,7 @@ from chamcovers import (
 )
 from chamcovers.action import _reflect
 from chamcovers.groups import element_index
-from chamcovers.vectors import _refinement_tree, drift, window
+from chamcovers.vectors import _refinement_tree, drift, side_codes, window
 from conftest import (
     element_words,
     oracle_canonical_class,
@@ -101,6 +101,19 @@ def test_window_matches_entries():
             assert len(w) == 2 * m + 1
             assert w[m] == h.group.zero()
             assert all(w[m + k] == h.entry(k) for k in range(-m, m + 1) if k != 0)
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_side_codes_read_each_side_outward(data):
+    # side_codes(prefix, period, m)[i] is the code of h_{i+1} on the right
+    # and of h_{-i-1} on the left, for m up to past the prefix and two periods.
+    group = data.draw(st.sampled_from([Z2, Z3, parse_group("Z2xZ4")]))
+    h = raw_vector(group, random.Random(data.draw(st.integers(0, 10**6))))
+    for sign, prefix, period in ((1, h.rpre, h.rper), (-1, h.lpre, h.lper)):
+        for m in range(len(prefix) + 2 * len(period) + 3):
+            expected = tuple([h.code(sign * k) for k in range(1, m + 1)])
+            assert side_codes(prefix, period, m) == expected
 
 
 def test_drift_is_the_gain_of_s_over_a_period():
@@ -495,7 +508,7 @@ def test_vectors_over_equal_distinct_groups_compare_and_hash_equal():
 def test_vectors_are_immutable_and_picklable():
     h = parse_vector(Z3, "L=1,2|(0,2);R=(1)")
     before = (format_vector(h), hash(h))
-    for name in ("group", "rpre", "lper", "right_prefix", "_hash", "extra"):
+    for name in ("group", "rpre", "lper", "right_prefix", "_gen", "extra"):
         with pytest.raises(AttributeError):
             setattr(h, name, ())
     with pytest.raises(AttributeError):
