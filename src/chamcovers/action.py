@@ -34,9 +34,11 @@ The output shape (each side's prefix length and period, and the number of
 entries synthesized per side), the sides' residue columns and the running
 sums depend only on the input and on the letter's kind (how far it
 reaches, whether it is parabolic), not on its formula.  They form one
-frame, and the last frame is kept: an orbit search applies P1, P1^-1, P2
-and P2^-1 to each vertex in turn, and the four letters share the frame
-built for the first.
+frame, an explicit value that records the vector it was built for.  P1,
+P1^-1, P2 and P2^-1 read the same frame (`parabolic_frame`) and take it as
+an optional second argument: an orbit search builds it once per vertex and
+hands it to the letters it runs there, and a letter called without one
+builds its own and drops it.  No frame outlives its caller.
 The frame's period still reads one `GroupElem` order (see `_frame`).
 
 P1, P1^-1, P2, P2^-1 and H^n (n >= 1) have entry formulas.  With the
@@ -52,6 +54,12 @@ and P1^-1 = R P1 R written out is
 which reads the same frame as P1.  H^-n = R H^n R, and H, H^-1 are H^n at
 n = 1, -1.  P2^-1 keeps its own formula: it equals R H P2 H^-1 R, not a
 single reflection of P2.
+
+Measured, not proved here: over a group of exponent e, P1^e and P2^e fix
+every vector (checked on random vectors over ten groups, Z3 to Z4xZ4, by
+`test_p_letters_raised_to_the_group_exponent_are_the_identity`).  Over
+exponent 2 it follows from the modulus-2 formulas above: there P1 = P1^-1
+and P2 = P2^-1.
 
 Every letter is Z-linear and has a Z-linear inverse, so the output letters
 span the same subgroup of G as the input letters.  An output therefore
@@ -71,7 +79,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from operator import sub
 
@@ -213,13 +220,13 @@ def word_matrix(w: Word) -> Mat2Q:
     return out
 
 
-@lru_cache(maxsize=1)
 def _frame(h: EpVector, grow: int, drifts: bool):
     """The shape and input columns every letter of one kind reads at h.
 
-    Returns (right, left, side_len, columns): each output side's shape
-    (prefix length, period), the number side_len of output entries
-    synthesized on each side, and per cyclic factor Z_n a column (r, l, s, n).
+    Returns (h, right, left, side_len, columns): h itself, each output
+    side's shape (prefix length, period), the number side_len of output
+    entries synthesized on each side, and per cyclic factor Z_n a column
+    (r, l, s, n).
     With m = side_len + grow, r[i] and l[i] are the residues of h_{i+1} and
     h_{-i-1} for i < m, each side read outward, and s[t] is that of S(t) for
     t <= m, or s is None where the letters do not read S.  An output prefix
@@ -239,8 +246,8 @@ def _frame(h: EpVector, grow: int, drifts: bool):
     length plus grow and its period.  side_len = max(k0 + 2 period) over
     the two sides.
 
-    The last frame is kept, so P1, P1^-1, P2 and P2^-1 at one orbit vertex
-    build it once.  Its tuples are shared and never written.
+    Nothing is kept between calls: whoever builds a frame owns it, and its
+    tuples are never written, so letters that run at h may share it.
     """
     moduli = h.group.moduli
     if drifts and moduli.count(2) < len(moduli):
@@ -268,20 +275,23 @@ def _frame(h: EpVector, grow: int, drifts: bool):
         r, l = [tuple([col[c] for c in side]) for side in sides]
         s = tuple(accumulate(map(sub, l, r), initial=0)) if drifts and n > 2 else None
         columns.append((r, l, s, n))
-    return right, left, side_len, tuple(columns)
+    return h, right, left, side_len, tuple(columns)
 
 
-def _act(h: EpVector, residues, grow: int, drifts: bool) -> EpVector:
+def _act(h: EpVector, residues, frame) -> EpVector:
     """The kernel behind every letter: one frame, one pass per factor.
 
     `residues(r, l, s, n, side_len)` returns one cyclic factor's output
     residues mod n, h'_1 .. h'_side_len then h'_-1 .. h'_-side_len, from
-    the int columns of `_frame`.  The formulas are Z-linear, so their values
-    mod n are exactly that factor's residues of the group-element results;
-    the output codes are built factor by factor as code * n + residue.
-    Each side's first period is checked against the next one.
+    the int columns of `frame`, which must have been built for h itself.
+    The formulas are Z-linear, so their values mod n are exactly that
+    factor's residues of the group-element results; the output codes are
+    built factor by factor as code * n + residue.  Each side's first period
+    is checked against the next one.
     """
-    (k0, p), (k1, q), side_len, columns = _frame(h, grow, drifts)
+    built_for, (k0, p), (k1, q), side_len, columns = frame
+    if built_for is not h:
+        raise ValueError("the letter frame was built for another vector")
     codes = None
     for r, l, s, n in columns:
         out = residues(r, l, s, n, side_len)
@@ -379,23 +389,33 @@ def _h_pow(h: EpVector, n: int) -> EpVector:
         tail = r[: L - n] + l[n : L + n]
         return head[::-1] + [(x + c) % mod for x in tail]
 
-    return _act(h, residues, n + 2, False)
+    return _act(h, residues, _frame(h, n + 2, False))
 
 
-def act_p1(h: EpVector) -> EpVector:
-    return _act(h, _p1_residues, 2, True)
+def parabolic_frame(h: EpVector):
+    """The frame that P1, P1^-1, P2 and P2^-1 read at h (`_frame`).
+
+    Pass it to each of those letters at h to build it once; a frame built
+    for any other vector, even an equal one, makes the letter raise
+    ValueError.
+    """
+    return _frame(h, 2, True)
 
 
-def act_p1_inv(h: EpVector) -> EpVector:
-    return _act(h, _p1_inv_residues, 2, True)
+def act_p1(h: EpVector, frame=None) -> EpVector:
+    return _act(h, _p1_residues, parabolic_frame(h) if frame is None else frame)
 
 
-def act_p2(h: EpVector) -> EpVector:
-    return _act(h, _p2_residues, 2, True)
+def act_p1_inv(h: EpVector, frame=None) -> EpVector:
+    return _act(h, _p1_inv_residues, parabolic_frame(h) if frame is None else frame)
 
 
-def act_p2_inv(h: EpVector) -> EpVector:
-    return _act(h, _p2_inv_residues, 2, True)
+def act_p2(h: EpVector, frame=None) -> EpVector:
+    return _act(h, _p2_residues, parabolic_frame(h) if frame is None else frame)
+
+
+def act_p2_inv(h: EpVector, frame=None) -> EpVector:
+    return _act(h, _p2_inv_residues, parabolic_frame(h) if frame is None else frame)
 
 
 def act_neg(h: EpVector) -> EpVector:

@@ -19,6 +19,7 @@ from .action import (
     act_p1_inv,
     act_p2,
     act_p2_inv,
+    parabolic_frame,
     simplify_word,
 )
 from .finite_index import IndexVerdict, decide_finite_index
@@ -74,6 +75,11 @@ def orbit_bfs(h: EpVector, cap: int = DEFAULT_CAP) -> SchreierGraph:
     the vertex list is the queue.  Expanding a vertex appends its P1 and P2
     targets to the edge lists, and None pads them: a move the cap stopped
     has a None edge, even when the edge is known from the other end.
+
+    The letters at one vertex read one frame (`action.parabolic_frame`).
+    It is built at the vertex's first computed move, handed to each letter
+    run there and dropped when the vertex is done, so a vertex whose four
+    moves are all known builds none.
     """
     if cap < 1:
         raise ValueError("cap must be >= 1")
@@ -89,10 +95,13 @@ def orbit_bfs(h: EpVector, cap: int = DEFAULT_CAP) -> SchreierGraph:
     cap_hit = False
     i = 0
     while i < len(vertices) and not cap_hit:
+        frame = None
         for m, (act, edges) in enumerate(moves):
             j = known[m].pop(i, None)
             if j is None:
-                cls = canonical_class(act(vertices[i]))
+                if frame is None:
+                    frame = parabolic_frame(vertices[i])
+                cls = canonical_class(act(vertices[i], frame))
                 j = index.get(cls)
                 if j is None:
                     if len(vertices) >= cap:

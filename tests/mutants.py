@@ -103,6 +103,13 @@ MUTANTS = (
         ("tests/test_orbit.py::test_orbit_bfs_matches_oracle_search_over_product_groups",),
     ),
     Mutant(
+        "one frame for the whole search",
+        "orbit.py",
+        "    while i < len(vertices) and not cap_hit:\n        frame = None\n",
+        "    frame = None\n    while i < len(vertices) and not cap_hit:\n",
+        ("tests/test_orbit.py::test_orbit_bfs_matches_oracle_search_over_product_groups",),
+    ),
+    Mutant(
         "P2 keeps h_{-1} + h_0 at k = -1",
         "action.py",
         "    out[L] = c\n    return out\n\n\ndef _p2_inv_residues",

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -34,7 +35,7 @@ from chamcovers import (
     word_matrix,
 )
 from chamcovers import action
-from chamcovers.action import _frame, _reflect
+from chamcovers.action import _reflect, parabolic_frame
 from conftest import (
     element_words,
     entries_agree,
@@ -257,13 +258,20 @@ def test_direct_p1_inverse_equals_reflected_p1():
 P_LETTERS = (act_p1, act_p1_inv, act_p2, act_p2_inv)
 
 
-def test_p_letters_at_one_vertex_build_one_frame():
-    h = parse_vector(parse_group("Z2xZ4"), "L=1:3,0:2|(1:1,0:1);R=0:1|(1:0,1:2,0:3)")
-    _frame.cache_clear()
+def test_p_letters_read_a_frame_built_for_that_very_vector():
+    # A passed frame gives what the letter's own frame gives; one built for
+    # another vector, even an equal one, is refused before it is read.
+    spec = "L=1:3,0:2|(1:1,0:1);R=0:1|(1:0,1:2,0:3)"
+    group = PRODUCT_GROUPS[0]
+    h, twin = parse_vector(group, spec), parse_vector(group, spec)
+    other = parse_vector(group, "L=(1:0);R=(0:1)")
+    frame = parabolic_frame(h)
+    assert twin == h and twin is not h
     for act in P_LETTERS:
-        act(h)
-    info = _frame.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+        assert act(h, frame) == act(h)
+        for wrong in (parabolic_frame(twin), parabolic_frame(other)):
+            with pytest.raises(ValueError, match="built for another vector"):
+                act(h, wrong)
 
 
 def same_codes(group, h):
@@ -301,7 +309,6 @@ def test_shared_frame_never_leaks_between_inputs():
     ]
     results = [act(v) for act, v in calls]
     for (act, v), got in zip(calls, results):
-        _frame.cache_clear()
         assert got == act(v) and got.group is v.group
 
 
@@ -445,7 +452,6 @@ def test_letter_refuses_an_output_side_above_the_bound(monkeypatch):
         raise AssertionError("the frame was built")
 
     monkeypatch.setattr(action, "side_codes", no_side)
-    _frame.cache_clear()
     for act in P_LETTERS:
         with pytest.raises(ValueError, match="needs 5928164 entries per side"):
             act(h)
@@ -454,7 +460,6 @@ def test_letter_refuses_an_output_side_above_the_bound(monkeypatch):
 def test_letter_side_bound_edge(monkeypatch):
     # P1 at this vector: prefix 2, period 3 (drift 1 of order 3), so 8 entries.
     h = parse_vector(Z3, "L=(1);R=(0)")
-    _frame.cache_clear()
     monkeypatch.setattr(action, "MAX_LETTER_SIDE", 7)
     with pytest.raises(ValueError, match="needs 8 entries per side, more than the bound 7"):
         act_p1(h)
@@ -468,7 +473,6 @@ def test_letters_without_s_build_each_side_to_its_own_shape(monkeypatch):
     # keeps the period of the same side: about 2 000 entries per side where
     # one shared period would ask for 997 * 991.
     monkeypatch.setattr(action, "MAX_LETTER_SIDE", 2100)
-    _frame.cache_clear()
     h = parse_vector(Z2, COPRIME_Z3)
     oracles = (oracle_p1, oracle_p1_inv, oracle_p2, oracle_p2_inv)
     for act, oracle in zip(P_LETTERS, oracles):
@@ -480,6 +484,38 @@ def test_letters_without_s_build_each_side_to_its_own_shape(monkeypatch):
         out = act(h)
         assert (len(out.right_period), len(out.left_period)) == (997, 991), act.__name__
         assert entries_agree(out, lambda k: oracle(h, k), radius=2100), act.__name__
+
+
+def test_a_letter_keeps_nothing_after_it_returns():
+    # Periods 94 and 97 with zero drift: P1 synthesizes 18 238 entries per
+    # side, and the frame it builds (about 430 KB) goes with the call.
+    h = parse_vector(Z3, "L=(1" + ",0" * 93 + ");R=(1" + ",0" * 96 + ")")
+    act_p1(parse_vector(Z3, "L=(1,0);R=(2,0,1)"))
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = act_p1(h)
+        del out
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 16 * 1024
+
+
+def test_p_letters_raised_to_the_group_exponent_are_the_identity():
+    # The measured law stated in the `action` docstring: over a group of
+    # exponent e, P1^e and P2^e fix every vector.
+    rng = random.Random(2626)
+    for spec in ("Z3", "Z4", "Z6", "Z8", "Z9", "Z12", "Z2xZ4", "Z3xZ3", "Z4xZ4", "Z10"):
+        group = parse_group(spec)
+        e = math.lcm(*group.moduli)
+        for _ in range(80):
+            h = random_vector(group, rng)
+            for act in (act_p1, act_p2):
+                out = h
+                for _ in range(e):
+                    out = act(out)
+                assert out == h, (spec, act.__name__, format_vector(h))
 
 
 def test_p_letters_over_exponent_two_groups_are_involutions():

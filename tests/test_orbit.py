@@ -26,6 +26,7 @@ from chamcovers import (
     veech_index,
 )
 from chamcovers import orbit
+from chamcovers.action import parabolic_frame
 from chamcovers.orbit import SchreierGraph
 from conftest import code_of, h_pow_fixed, oracle_orbit_bfs, public_copy, random_vector
 
@@ -372,7 +373,9 @@ def test_probe_cuts_fall_on_every_move(monkeypatch):
     for name in ("act_p1", "act_p1_inv", "act_p2", "act_p2_inv"):
         letter = getattr(orbit, name)
         monkeypatch.setattr(
-            orbit, name, lambda h, name=name, letter=letter: ran.append(name) or letter(h)
+            orbit,
+            name,
+            lambda h, *rest, name=name, letter=letter: ran.append(name) or letter(h, *rest),
         )
     cut_moves = set()
     for cap in CUT_CAPS:
@@ -390,7 +393,7 @@ def test_complete_orbit_computes_each_edge_once(monkeypatch):
     for name in ("act_p1", "act_p1_inv", "act_p2", "act_p2_inv"):
         letter = getattr(orbit, name)
         monkeypatch.setattr(
-            orbit, name, lambda h, letter=letter: calls.append(h) or letter(h)
+            orbit, name, lambda h, *rest, letter=letter: calls.append(h) or letter(h, *rest)
         )
     starts = [PARITY, FOURP, h_pow_fixed(Z3, (Z3.elem(1), Z3.elem(2)))]
     starts += [expand(e) for e in enumerate_wn_star(5)]
@@ -402,6 +405,45 @@ def test_complete_orbit_computes_each_edge_once(monkeypatch):
         assert len(calls) == 2 * graph.order
         orders.add(graph.order)
     assert len(orders) >= 3
+
+
+def test_orbit_bfs_builds_one_frame_per_vertex_that_runs_a_letter(monkeypatch):
+    # The letters at a vertex share the frame built there; a vertex whose four
+    # moves are all known from their other ends builds none.
+    built, received = [], []
+
+    def frame_of(h):
+        built.append(parabolic_frame(h))
+        return built[-1]
+
+    monkeypatch.setattr(orbit, "parabolic_frame", frame_of)
+    for name in ("act_p1", "act_p1_inv", "act_p2", "act_p2_inv"):
+        letter = getattr(orbit, name)
+        monkeypatch.setattr(
+            orbit,
+            name,
+            lambda h, frame, letter=letter: received.append((h, frame)) or letter(h, frame),
+        )
+    # The Z4 orbits (4 and 16 classes) each have one vertex whose four moves
+    # are all known; the probes stop at a cap.
+    starts = [FOURP, h_pow_fixed(Z3, (Z3.elem(1), Z3.elem(2)))]
+    starts += [
+        parse_vector(Z4, "L=(3,1,0,2,1,3,2,0);R=(0,1,3,0,2,3,1,2)"),
+        parse_vector(Z4, "L=(0,1,2,0);R=(0,1,2,0)"),
+    ]
+    starts = [(h, 10_000) for h in starts] + [(h, 9) for h in PROBES]
+    skipped = 0
+    for h, cap in starts:
+        built.clear()
+        received.clear()
+        graph = orbit_bfs(h, cap=cap)
+        ran_at = list(dict.fromkeys(id(v) for v, _ in received))
+        assert [id(frame[0]) for frame in built] == ran_at
+        frame_at = {id(frame[0]): frame for frame in built}
+        assert all(frame is frame_at[id(v)] for v, frame in received)
+        if graph.complete:
+            skipped += graph.order - len(built)
+    assert skipped > 0
 
 
 def test_orbit_bfs_matches_oracle_search_over_product_groups():
