@@ -69,12 +69,17 @@ def orbit_bfs(h: EpVector, cap: int = DEFAULT_CAP) -> SchreierGraph:
     with automorphisms and act on classes, where P1^-1 and P2^-1 are the
     inverses of P1 and P2.  A computed move P1(i) = j thus also gives
     P1^-1(j) = i (and P1^-1(i) = j gives P1(j) = i, likewise for P2); that
-    known move is taken without acting or canonicalizing.  A known move
-    never finds a new class, so the cap falls on the same move as when every
-    move is computed.  Vertices are expanded in the order they are found, so
-    the vertex list is the queue.  Expanding a vertex appends its P1 and P2
-    targets to the edge lists, and None pads them: a move the cap stopped
-    has a None edge, even when the edge is known from the other end.
+    known move is taken without acting or canonicalizing.  Over a group whose
+    moduli are all 2, the `action` docstring's modulus-2 formulas give P1^-1
+    = P1 and P2^-1 = P2 on vectors, hence on classes, so a computed m(i) = j
+    also gives m^-1(i) = j and m(j) = i.  A vertex then runs at most one
+    letter of each pair, and a complete orbit runs one letter per P1-cycle
+    and one per P2-cycle.  A known move never finds a new class, so the cap
+    falls on the same move as when every move is computed.  Vertices are
+    expanded in the order they are found, so the vertex list is the queue.
+    Expanding a vertex appends its P1 and P2 targets to the edge lists, and
+    None pads them: a move the cap stopped has a None edge, even when the
+    edge is known from the other end.
 
     The letters at one vertex read one frame (`action.parabolic_frame`).
     It is built at the vertex's first computed move, handed to each letter
@@ -88,9 +93,10 @@ def orbit_bfs(h: EpVector, cap: int = DEFAULT_CAP) -> SchreierGraph:
     vertices: list[VectorClass] = [start]
     p1_edges: list[int | None] = []
     p2_edges: list[int | None] = []
-    # known[m][i] is the target of move m at vertex i when the inverse move
-    # already computed it; the moves are numbered so that m ^ 1 is m's inverse.
+    # known[m][i] is the target of move m at vertex i when a computed move
+    # already gave it; the moves are numbered so that m ^ 1 is m's inverse.
     known: tuple[dict[int, int], ...] = ({}, {}, {}, {})
+    involutions = all(n == 2 for n in start.group.moduli)
     moves = ((act_p1, p1_edges), (act_p1_inv, None), (act_p2, p2_edges), (act_p2_inv, None))
     cap_hit = False
     i = 0
@@ -111,6 +117,10 @@ def orbit_bfs(h: EpVector, cap: int = DEFAULT_CAP) -> SchreierGraph:
                     index[cls] = j
                     vertices.append(cls)
                 known[m ^ 1][j] = i
+                if involutions:
+                    known[m ^ 1][i] = j
+                    if j != i:
+                        known[m][j] = i
             if edges is not None:
                 edges.append(j)
         i += 1

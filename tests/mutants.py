@@ -110,6 +110,20 @@ MUTANTS = (
         ("tests/test_orbit.py::test_orbit_bfs_matches_oracle_search_over_product_groups",),
     ),
     Mutant(
+        "involution record dropped",
+        "orbit.py",
+        "                        known[m][j] = i\n",
+        "                        pass\n",
+        ("tests/test_orbit.py::test_complete_orbit_computes_each_edge_once",),
+    ),
+    Mutant(
+        "involution flag on even moduli",
+        "orbit.py",
+        "all(n == 2 for n in start.group.moduli)",
+        "all(n % 2 == 0 for n in start.group.moduli)",
+        ("tests/test_orbit.py::test_orbit_bfs_matches_oracle_search_over_product_groups",),
+    ),
+    Mutant(
         "P2 keeps h_{-1} + h_0 at k = -1",
         "action.py",
         "    out[L] = c\n    return out\n\n\ndef _p2_inv_residues",

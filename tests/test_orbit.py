@@ -389,22 +389,36 @@ def test_probe_cuts_fall_on_every_move(monkeypatch):
 def test_complete_orbit_computes_each_edge_once(monkeypatch):
     # Each of the 4n moves of a complete orbit of order n pairs with the
     # inverse move at its target, and exactly one move of each pair runs.
+    # Over a group whose moduli are all 2, P1 and P2 are involutions, so the
+    # four moves of a P1- or P2-cycle ({i, j} with j = P(i), or a loop) share
+    # one letter call.
     calls = []
     for name in ("act_p1", "act_p1_inv", "act_p2", "act_p2_inv"):
         letter = getattr(orbit, name)
         monkeypatch.setattr(
             orbit, name, lambda h, *rest, letter=letter: calls.append(h) or letter(h, *rest)
         )
+    z2xz2 = parse_group("Z2xZ2")
+    zero, a, b = z2xz2.zero(), *z2xz2.factor_generators()
     starts = [PARITY, FOURP, h_pow_fixed(Z3, (Z3.elem(1), Z3.elem(2)))]
+    # Over Z2xZ2 a path of 4 classes and a cycle of 8.
+    starts += [h_pow_fixed(z2xz2, (zero, zero, a, b)), h_pow_fixed(z2xz2, (zero, a, zero, a + b))]
     starts += [expand(e) for e in enumerate_wn_star(5)]
-    orders = set()
+    seen = set()
     for h in starts:
         calls.clear()
         graph = orbit_bfs(h)
         assert graph.complete
-        assert len(calls) == 2 * graph.order
-        orders.add(graph.order)
-    assert len(orders) >= 3
+        if all(n == 2 for n in h.group.moduli):
+            cycles = sum(
+                p[i] >= i for p in (graph.p1_edges, graph.p2_edges) for i in range(graph.order)
+            )
+            assert len(calls) == cycles
+        else:
+            assert len(calls) == 2 * graph.order
+        seen.add((h.group.moduli, graph.order))
+    assert {((2, 2), 4), ((2, 2), 8)} <= seen
+    assert len(seen) >= 5 and any(moduli == (3,) for moduli, _ in seen)
 
 
 def test_orbit_bfs_builds_one_frame_per_vertex_that_runs_a_letter(monkeypatch):
@@ -444,6 +458,28 @@ def test_orbit_bfs_builds_one_frame_per_vertex_that_runs_a_letter(monkeypatch):
         if graph.complete:
             skipped += graph.order - len(built)
     assert skipped > 0
+
+
+@pytest.mark.parametrize("spec", ["Z2", "Z2xZ2", "Z2xZ2xZ2"])
+def test_orbit_bfs_matches_oracle_search_over_exponent_two_groups(spec):
+    # Here a computed move also gives its inverse and the move back from its
+    # target; the oracle computes all four moves at every vertex.  The caps
+    # cut the searches after different moves.
+    rng = random.Random(27)
+    group = parse_group(spec)
+    gens = tuple(group.factor_generators())
+    starts = [random_vector(group, rng) for _ in range(3)]
+    # An H^5-fixed vector whose orbit is a path of 5 classes.
+    starts.append(h_pow_fixed(group, (group.zero(),) * (5 - len(gens)) + gens))
+    closed = 0
+    for h in starts:
+        for cap in (1, 2, 3, 5, 8, 16):
+            graph = orbit_bfs(h, cap=cap)
+            reps, p1, p2, cap_hit = oracle_orbit_bfs(h, cap=cap)
+            assert tuple(c.representative for c in graph.vertices) == reps
+            assert (graph.p1_edges, graph.p2_edges, graph.cap_hit) == (p1, p2, cap_hit)
+            closed += graph.complete
+    assert closed >= 3
 
 
 def test_orbit_bfs_matches_oracle_search_over_product_groups():
