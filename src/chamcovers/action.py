@@ -3,9 +3,10 @@
 The two parabolic letters P1 and P2, the central letter -I, the hyperbolic
 letter H = -P1*P2, and their inverses act on eventually periodic vectors entry
 by entry.  -I negates each letter (`vectors.apply_aut`).  One kernel runs
-every other letter and synthesizes the output directly as
-prefix + period: the output entries are Z-linear in input entries and in the
-running sums S(t) = sum_{j=1..t} (-h_j + h_{-j}).  The kernel reads each side
+every other letter, save the P letters over a group whose moduli are all 2
+(below), and synthesizes the output directly as prefix + period: the output
+entries are Z-linear in input entries and in the running sums
+S(t) = sum_{j=1..t} (-h_j + h_{-j}).  The kernel reads each side
 of the input outward, as the vector stores its words (`vectors.side_codes`:
 h_1, h_2, ... and h_-1, h_-2, ...); for each cyclic factor Z_{n_i} of G it
 evaluates the formulas on that factor's plain int residues, summing S only
@@ -23,20 +24,33 @@ doubled, so on a factor of modulus 2 they read none: there
 one period: with L and R the left and right period words and
 p = lcm(|L|, |R|), S gains the constant drift delta = `vectors.drift`(h, p)
 over any p indexes past both prefixes, so the output has period
-p * order(2 * delta).  Where no factor reads S (the P letters over a group
-whose moduli are all 2, and H^n over any group), each output side reads
-one input side and keeps its period: R for the right output side of H^n
-and L for that of the P letters, and the other word for the left side.
-Each output side's first period is checked against the next before the
-result is trusted.
+p * order(2 * delta).  H^n reads no S, and each of its output sides reads
+the same input side and keeps its period.  Each output side's first period
+is checked against the next before the result is trusted.
+
+Over a group whose moduli are all 2 (`FinAbGroup.exponent_two`) the P
+letters skip the kernel.  Codes are mixed-radix numbers over the moduli,
+so there each code is the binary number of its residues, and adding two
+elements, factor by factor mod 2, is XOR on their codes.  P1 = P1^-1 is
+the reflection R below.  P2 = P2^-1 is one XOR pass with c the code of
+h_{-1}: the right output side is the left input side read from h_{-2}
+outward, and the left output side is c followed by the right input side,
+every code XOR c.  XOR with c is a bijection on codes and a reflection
+swaps two normal sides, so each output side is in normal form as written,
+save one case: when the right prefix is empty and the right period ends in
+code 0, the left output's one-entry prefix equals its period's last entry
+and is pulled into the period.  These outputs are stored with no frame, no
+residue column and no normal-form search, and are at most one entry longer
+than their input.
 
 The output shape (each side's prefix length and period, and the number of
 entries synthesized per side), the sides' residue columns and the running
 sums depend only on the input and on the letter's kind (how far it
 reaches, whether it is parabolic), not on its formula.  They form one
 frame, an explicit value that records the vector it was built for.  P1,
-P1^-1, P2 and P2^-1 read the same frame (`parabolic_frame`) and take it as
-an optional second argument: an orbit search builds it once per vertex and
+P1^-1, P2 and P2^-1 read the same frame (`parabolic_frame`, which over a
+group whose moduli are all 2 records only the vector) and take it as an
+optional second argument: an orbit search builds it once per vertex and
 hands it to the letters it runs there, and a letter called without one
 builds its own and drops it.  No frame outlives its caller.
 The frame's period still reads one `GroupElem` order (see `_frame`).
@@ -129,8 +143,10 @@ MAX_WORD_EXPONENT = 10_000
 # the period lcm(|L|, |R|) * order(2 * delta), so long coprime periods in a
 # few KB of input can ask for millions of entries per side.  P1 on Z3 periods
 # 997 and 991 with zero drift (1 976 056) runs; with a drift of order 3
-# (5 928 164) it is refused.  A letter that reads no S writes at most its
-# longer input side's prefix plus grow plus two periods.
+# (5 928 164) it is refused.  H^n, which reads no S, writes at most its
+# longer input side's prefix plus grow plus two periods.  A P letter over a
+# group whose moduli are all 2 builds no frame: it writes at most one entry
+# more than its input and is never refused.
 MAX_LETTER_SIDE = 2**21
 
 
@@ -234,23 +250,21 @@ def _frame(h: EpVector, grow: int, drifts: bool):
     entry reads input entries at most `grow` indexes further out.
 
     The parabolic letters (`drifts`) double every term they read from S, so
-    on a factor of modulus 2 they read no S.  Over a group with a modulus
-    above 2 they read S there, and both output sides share the prefix
-    length k0 = longest input prefix + grow and the period
+    on a factor of modulus 2 they read no S; they build a frame only over a
+    group with a modulus above 2 (see `parabolic_frame`), and read S on
+    those factors.  Both output sides then share the prefix length
+    k0 = longest input prefix + grow and the period
     lcm(|L|, |R|) * order(2 * delta).  That order is taken on a `GroupElem`,
     the one element operator left on the orbit search path, because the
     benchmark counts those operators there and predicts a nonzero count.
-    Where no factor reads S (P letters over a group whose moduli are all 2,
-    and H^n always), each output side reads one input side, the opposite one
-    for P letters and the same one for H^n, and takes that side's prefix
-    length plus grow and its period.  side_len = max(k0 + 2 period) over
-    the two sides.
+    H^n reads no S: each output side reads the same input side and takes
+    its prefix length plus grow and its period.  side_len = max(k0 + 2
+    period) over the two sides.
 
     Nothing is kept between calls: whoever builds a frame owns it, and its
     tuples are never written, so letters that run at h may share it.
     """
-    moduli = h.group.moduli
-    if drifts and moduli.count(2) < len(moduli):
+    if drifts:
         k0 = max(len(h.rpre), len(h.lpre)) + grow
         p = math.lcm(len(h.rper), len(h.lper))
         # Becomes int arithmetic, like `drift`, once the benchmark's
@@ -258,10 +272,8 @@ def _frame(h: EpVector, grow: int, drifts: bool):
         right = left = (k0, p * drift(h, p).scale(2).order())
         side_len = k0 + 2 * right[1]
     else:
-        # The input words each output side reads, right side first.
-        rpre, rper, lpre, lper = (h.lpre, h.lper, h.rpre, h.rper) if drifts else h.key()
-        right = (len(rpre) + grow, len(rper))
-        left = (len(lpre) + grow, len(lper))
+        right = (len(h.rpre) + grow, len(h.rper))
+        left = (len(h.lpre) + grow, len(h.lper))
         side_len = max(right[0] + 2 * right[1], left[0] + 2 * left[1])
     if side_len > MAX_LETTER_SIDE:
         raise ValueError(
@@ -271,7 +283,7 @@ def _frame(h: EpVector, grow: int, drifts: bool):
     m = side_len + grow
     sides = side_codes(h.rpre, h.rper, m), side_codes(h.lpre, h.lper, m)
     columns = []
-    for col, n in zip(residue_columns(h.group), moduli):
+    for col, n in zip(residue_columns(h.group), h.group.moduli):
         r, l = [tuple([col[c] for c in side]) for side in sides]
         s = tuple(accumulate(map(sub, l, r), initial=0)) if drifts and n > 2 else None
         columns.append((r, l, s, n))
@@ -283,15 +295,13 @@ def _act(h: EpVector, residues, frame) -> EpVector:
 
     `residues(r, l, s, n, side_len)` returns one cyclic factor's output
     residues mod n, h'_1 .. h'_side_len then h'_-1 .. h'_-side_len, from
-    the int columns of `frame`, which must have been built for h itself.
+    the int columns of `frame`, built for h itself.
     The formulas are Z-linear, so their values mod n are exactly that
     factor's residues of the group-element results; the output codes are
     built factor by factor as code * n + residue.  Each side's first period
     is checked against the next one.
     """
-    built_for, (k0, p), (k1, q), side_len, columns = frame
-    if built_for is not h:
-        raise ValueError("the letter frame was built for another vector")
+    _, (k0, p), (k1, q), side_len, columns = frame
     codes = None
     for r, l, s, n in columns:
         out = residues(r, l, s, n, side_len)
@@ -321,11 +331,35 @@ def _reflect(h: EpVector) -> EpVector:
     )
 
 
-# The parabolic letters, each as one comprehension over forward slices of a
-# frame column laid out in output order: an index column that reads h_{-k}
-# at k = 1..L and h_k at k = -1..-L is l[:L] + r[:L].  On a factor of
-# modulus 2 (s is None) every doubled term vanishes: P1 and P1^-1 both give
-# the reflected column, and P2 and P2^-1 both give h_{-1} + h_{-k-1}.
+def _p2_xor(h: EpVector) -> EpVector:
+    """P2 = P2^-1 over a group whose moduli are all 2, as one XOR pass.
+
+    With c the code of h_{-1}: (P2 h)_k = c ^ h_{-k-1} for k >= 1, and the
+    left side reads c, c ^ h_1, c ^ h_2, ... outward.  Both sides are
+    stored as written (module docstring), after the one pull that an empty
+    right prefix before a period ending in code 0 asks for.
+    """
+    if h.lpre:
+        c, rpre, rper = h.lpre[0], h.lpre[1:], h.lper
+    else:
+        c, rpre, rper = h.lper[0], (), h.lper[1:] + h.lper[:1]
+    if h.rpre or h.rper[-1]:
+        lpre, lper = (0,) + h.rpre, h.rper
+    else:
+        lpre, lper = (), h.rper[-1:] + h.rper[:-1]
+    return EpVector._from_normal_codes(
+        h.group,
+        *(tuple([c ^ x for x in word]) for word in (rpre, rper, lpre, lper)),
+        h._gen,
+    )
+
+
+# The parabolic letters over groups with a modulus above 2, each as one
+# comprehension over forward slices of a frame column laid out in output
+# order: an index column that reads h_{-k} at k = 1..L and h_k at
+# k = -1..-L is l[:L] + r[:L].  On a factor of modulus 2 (s is None) of
+# such a group every doubled term vanishes: P1 and P1^-1 both give the
+# reflected column, and P2 and P2^-1 both give h_{-1} + h_{-k-1}.
 
 
 def _p1_residues(r, l, s, n, L):
@@ -393,29 +427,41 @@ def _h_pow(h: EpVector, n: int) -> EpVector:
 
 
 def parabolic_frame(h: EpVector):
-    """The frame that P1, P1^-1, P2 and P2^-1 read at h (`_frame`).
+    """The frame that P1, P1^-1, P2 and P2^-1 read at h (`_frame`); over a
+    group whose moduli are all 2, where they read only the stored words, a
+    frame that records h alone.
 
     Pass it to each of those letters at h to build it once; a frame built
     for any other vector, even an equal one, makes the letter raise
     ValueError.
     """
-    return _frame(h, 2, True)
+    return (h,) if h.group.exponent_two else _frame(h, 2, True)
+
+
+def _parabolic(h: EpVector, frame, residues, involution) -> EpVector:
+    """One P letter at h: `involution` of the stored words over a group
+    whose moduli are all 2, the kernel with `residues` over any other."""
+    if frame is not None and frame[0] is not h:
+        raise ValueError("the letter frame was built for another vector")
+    if h.group.exponent_two:
+        return involution(h)
+    return _act(h, residues, _frame(h, 2, True) if frame is None else frame)
 
 
 def act_p1(h: EpVector, frame=None) -> EpVector:
-    return _act(h, _p1_residues, parabolic_frame(h) if frame is None else frame)
+    return _parabolic(h, frame, _p1_residues, _reflect)
 
 
 def act_p1_inv(h: EpVector, frame=None) -> EpVector:
-    return _act(h, _p1_inv_residues, parabolic_frame(h) if frame is None else frame)
+    return _parabolic(h, frame, _p1_inv_residues, _reflect)
 
 
 def act_p2(h: EpVector, frame=None) -> EpVector:
-    return _act(h, _p2_residues, parabolic_frame(h) if frame is None else frame)
+    return _parabolic(h, frame, _p2_residues, _p2_xor)
 
 
 def act_p2_inv(h: EpVector, frame=None) -> EpVector:
-    return _act(h, _p2_inv_residues, parabolic_frame(h) if frame is None else frame)
+    return _parabolic(h, frame, _p2_inv_residues, _p2_xor)
 
 
 def act_neg(h: EpVector) -> EpVector:

@@ -11,7 +11,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache, cached_property, reduce
 
 
 class GroupParseError(ValueError):
@@ -48,6 +48,16 @@ class FinAbGroup:
     @property
     def rank(self) -> int:
         return len(self.moduli)
+
+    @cached_property
+    def exponent_two(self) -> bool:
+        """Is every modulus 2, so that 2x = 0 for every element?
+
+        Codes are then the binary numbers of the residue tuples (see
+        `residue_columns`), and adding two elements is XOR on their codes.
+        Computed once per group object, as the letters read it per call.
+        """
+        return all(n == 2 for n in self.moduli)
 
     def spec(self) -> str:
         return "x".join(f"Z{n}" for n in self.moduli)

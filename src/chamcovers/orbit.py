@@ -96,7 +96,7 @@ def orbit_bfs(h: EpVector, cap: int = DEFAULT_CAP) -> SchreierGraph:
     # known[m][i] is the target of move m at vertex i when a computed move
     # already gave it; the moves are numbered so that m ^ 1 is m's inverse.
     known: tuple[dict[int, int], ...] = ({}, {}, {}, {})
-    involutions = all(n == 2 for n in start.group.moduli)
+    involutions = start.group.exponent_two
     moves = ((act_p1, p1_edges), (act_p1_inv, None), (act_p2, p2_edges), (act_p2_inv, None))
     cap_hit = False
     i = 0

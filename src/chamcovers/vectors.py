@@ -111,13 +111,12 @@ class EpVector:
         return h
 
     def _store(self, group, rpre, rper, lpre, lper, gen) -> None:
-        put = object.__setattr__
-        put(self, "group", group)
-        put(self, "rpre", rpre)
-        put(self, "rper", rper)
-        put(self, "lpre", lpre)
-        put(self, "lper", lper)
-        put(self, "_gen", gen)
+        _put_group(self, group)
+        _put_rpre(self, rpre)
+        _put_rper(self, rper)
+        _put_lpre(self, lpre)
+        _put_lper(self, lper)
+        _put_gen(self, gen)
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of an EpVector")
@@ -191,6 +190,13 @@ class EpVector:
         return format_vector(self)
 
 
+# The slots' own setters: they store a field past the refusing __setattr__,
+# and cost less than object.__setattr__, which looks the field up by name.
+_put_group, _put_rpre, _put_rper, _put_lpre, _put_lper, _put_gen = [
+    EpVector.__dict__[name].__set__ for name in EpVector.__slots__
+]
+
+
 def _decode(group: FinAbGroup, word) -> tuple[GroupElem, ...]:
     """The interned elements with the given codes."""
     elems, _ = element_index(group)
@@ -237,7 +243,7 @@ def generates(h: EpVector) -> bool:
         distinct = dict.fromkeys(h.letter_codes())
         distinct.pop(0, None)
         gen = span(h.group, _decode(h.group, distinct)).index == 1
-        object.__setattr__(h, "_gen", gen)
+        _put_gen(h, gen)
     return h._gen
 
 

@@ -118,9 +118,9 @@ MUTANTS = (
     ),
     Mutant(
         "involution flag on even moduli",
-        "orbit.py",
-        "all(n == 2 for n in start.group.moduli)",
-        "all(n % 2 == 0 for n in start.group.moduli)",
+        "groups.py",
+        "        return all(n == 2 for n in self.moduli)\n",
+        "        return all(n % 2 == 0 for n in self.moduli)\n",
         ("tests/test_orbit.py::test_orbit_bfs_matches_oracle_search_over_product_groups",),
     ),
     Mutant(
@@ -155,11 +155,24 @@ MUTANTS = (
         ("tests/test_action.py::test_h_pow_matches_window_oracle",),
     ),
     Mutant(
-        "P letters without S keep each input side's shape",
+        "P2 never pulls its left side's first code",
         "action.py",
-        "(h.lpre, h.lper, h.rpre, h.rper) if drifts else h.key()",
-        "h.key()",
-        ("tests/test_action.py::test_p_letters_over_exponent_two_groups_are_involutions",),
+        "    if h.rpre or h.rper[-1]:\n",
+        "    if True:\n",
+        (
+            "tests/test_action.py::"
+            "test_exponent_two_letters_match_window_oracle_and_are_stored_normal",
+        ),
+    ),
+    Mutant(
+        "P2 reads an empty left prefix's period from h_{-1}",
+        "action.py",
+        "h.lper[1:] + h.lper[:1]",
+        "h.lper",
+        (
+            "tests/test_action.py::"
+            "test_exponent_two_letters_match_window_oracle_and_are_stored_normal",
+        ),
     ),
     Mutant(
         "normal side does not rotate its period",

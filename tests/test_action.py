@@ -36,6 +36,7 @@ from chamcovers import (
 )
 from chamcovers import action
 from chamcovers.action import _reflect, parabolic_frame
+from chamcovers.vectors import _normal_form
 from conftest import (
     element_words,
     entries_agree,
@@ -260,18 +261,22 @@ P_LETTERS = (act_p1, act_p1_inv, act_p2, act_p2_inv)
 
 def test_p_letters_read_a_frame_built_for_that_very_vector():
     # A passed frame gives what the letter's own frame gives; one built for
-    # another vector, even an equal one, is refused before it is read.
-    spec = "L=1:3,0:2|(1:1,0:1);R=0:1|(1:0,1:2,0:3)"
-    group = PRODUCT_GROUPS[0]
-    h, twin = parse_vector(group, spec), parse_vector(group, spec)
-    other = parse_vector(group, "L=(1:0);R=(0:1)")
-    frame = parabolic_frame(h)
-    assert twin == h and twin is not h
-    for act in P_LETTERS:
-        assert act(h, frame) == act(h)
-        for wrong in (parabolic_frame(twin), parabolic_frame(other)):
-            with pytest.raises(ValueError, match="built for another vector"):
-                act(h, wrong)
+    # another vector, even an equal one, is refused before it is read.  Over
+    # Z2xZ2xZ2 the frame records only the vector.
+    for spec, vector, other_vector in (
+        ("Z2xZ4", "L=1:3,0:2|(1:1,0:1);R=0:1|(1:0,1:2,0:3)", "L=(1:0);R=(0:1)"),
+        ("Z2xZ2xZ2", "L=1:0:1|(0:1:1,1:1:0,0:0:1);R=(1:0:0,0:1:0)", "L=(1:0:0);R=(0:1:1)"),
+    ):
+        group = parse_group(spec)
+        h, twin = parse_vector(group, vector), parse_vector(group, vector)
+        other = parse_vector(group, other_vector)
+        frame = parabolic_frame(h)
+        assert twin == h and twin is not h
+        for act in P_LETTERS:
+            assert act(h, frame) == act(h)
+            for wrong in (parabolic_frame(twin), parabolic_frame(other)):
+                with pytest.raises(ValueError, match="built for another vector"):
+                    act(h, wrong)
 
 
 def same_codes(group, h):
@@ -468,10 +473,11 @@ def test_letter_side_bound_edge(monkeypatch):
 
 
 def test_letters_without_s_build_each_side_to_its_own_shape(monkeypatch):
-    # Over Z2 no P letter reads S, so each output side keeps the period of
-    # the input side it reads (the opposite one), and H^n never reads S and
-    # keeps the period of the same side: about 2 000 entries per side where
-    # one shared period would ask for 997 * 991.
+    # Over Z2 the P letters build no frame: P1 swaps the stored words and P2
+    # XORs them, so each output side keeps the period of the input side it
+    # reads (the opposite one) and the bound is never consulted.  H^n never
+    # reads S and keeps the period of the same side: about 2 000 entries per
+    # side where one shared period would ask for 997 * 991.
     monkeypatch.setattr(action, "MAX_LETTER_SIDE", 2100)
     h = parse_vector(Z2, COPRIME_Z3)
     oracles = (oracle_p1, oracle_p1_inv, oracle_p2, oracle_p2_inv)
@@ -531,6 +537,59 @@ def test_p_letters_over_exponent_two_groups_are_involutions():
             out = act_p2(h)
             assert act_p2_inv(h) == out, format_vector(h)
             assert entries_agree(out, lambda k: oracle_p2(h, k), radius=24)
+
+
+def exponent_two_corpus(group, rng):
+    """Random vectors over `group`, with shapes drawn so that each edge case
+    of the XOR pass occurs: an empty left prefix, a one-entry left prefix,
+    one-entry periods, and an empty right prefix before a right period
+    ending in code 0, the case where the left output pulls its prefix."""
+    elems = list(group.elements())
+    word = lambda n: tuple(rng.choice(elems) for _ in range(n))
+    out = []
+    for rpre in (0, 1, 2):
+        for lpre in (0, 1, 2):
+            for _ in range(6):
+                rper, lper = word(rng.randint(1, 4)), word(rng.randint(1, 4))
+                if rng.random() < 0.5:
+                    rper = rper[:-1] + (elems[0],)
+                out.append(EpVector(group, word(rpre), rper, word(lpre), lper))
+    return out
+
+
+def test_exponent_two_letters_match_window_oracle_and_are_stored_normal():
+    # The P letters over groups whose moduli are all 2 store their words
+    # with no normal-form search.  A missed pull leaves correct entries that
+    # `entries_agree` cannot see but breaks == and hash, so each output's
+    # words are also checked against their own normal form.
+    rng = random.Random(2828)
+    oracles = (oracle_p1, oracle_p1_inv, oracle_p2, oracle_p2_inv)
+    for spec in ("Z2", "Z2xZ2", "Z2xZ2xZ2", "Z2xZ2xZ2xZ2"):
+        group = parse_group(spec)
+        corpus = exponent_two_corpus(group, rng)
+        cases = {
+            "pull": any(not h.rpre and h.rper[-1] == 0 for h in corpus),
+            "empty left prefix": any(not h.lpre and len(h.lper) > 1 for h in corpus),
+            "one-entry periods": any(len(h.rper) == len(h.lper) == 1 for h in corpus),
+            "one-entry left prefix": any(len(h.lpre) == 1 for h in corpus),
+        }
+        assert all(cases.values()), (spec, cases)
+        for h in corpus:
+            for act, oracle in zip(P_LETTERS, oracles):
+                out = act(h)
+                radius = max(len(out.rpre), len(out.lpre)) + 2 * max(
+                    len(out.rper), len(out.lper)
+                )
+                assert entries_agree(out, lambda k: oracle(h, k), radius + 2), (
+                    spec,
+                    format_vector(h),
+                    act.__name__,
+                )
+                assert out.key() == _normal_form(*out.key()), (
+                    spec,
+                    format_vector(h),
+                    act.__name__,
+                )
 
 
 def test_word_inverse_round_trip():

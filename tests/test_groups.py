@@ -16,7 +16,7 @@ from chamcovers import (
     parse_group,
     span,
 )
-from chamcovers.groups import MAX_AUT_GROUP_ORDER, negation
+from chamcovers.groups import MAX_AUT_GROUP_ORDER, element_index, negation
 from conftest import oracle_span_order
 
 Z2 = parse_group("Z2")
@@ -50,6 +50,20 @@ def test_groups_equal_only_on_same_presentation():
     assert parse_group("Z6") != parse_group("Z2xZ3")
     assert parse_group("Z2xZ3") != parse_group("Z3xZ2")
     assert parse_group("Z4") == parse_group("Z4")
+
+
+def test_exponent_two_groups_add_codes_by_xor():
+    # The P letters over groups whose moduli are all 2 add elements as XOR
+    # on their codes; no other group here adds that way.
+    for spec in ("Z2", "Z2xZ2", "Z2xZ2xZ2", "Z2xZ2xZ2xZ2", "Z3", "Z4", "Z2xZ4", "Z6"):
+        g = parse_group(spec)
+        elems, index = element_index(g)
+        xor = all(
+            index[(a + b).residues] == i ^ j
+            for i, a in enumerate(elems)
+            for j, b in enumerate(elems)
+        )
+        assert g.exponent_two is xor is all(n == 2 for n in g.moduli), spec
 
 
 def test_elem_serialization_round_trip():
