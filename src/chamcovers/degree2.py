@@ -32,6 +32,23 @@ them, a Kranz.  T moves a member two steps along it, turning at a loop, so
 it cycles all k members of a path (k = n) and splits a cycle of 2k members
 into two T-orbits of k (k = n).  `test_striezel_orbits_have_size_n` checks
 the law for n <= 16.
+
+The census walks U = P2 o P1 (P1 first), which is T^-1 and has T's orbits.
+P1 sends h_k to h_{n-k} + h_n for k < n and keeps h_n; P2 sends h_k to
+h_{n-1-k} + h_{n-1} for k <= n - 2 and keeps h_{n-1} and h_n (`p1_bits`,
+`p2_bits`).  Composed, the h_n terms cancel: U_k = h_{k+1} + h_1 for
+k <= n - 2, U_{n-1} = h_n + h_1 and U_n = h_n.  On the n value bits v of a
+code, with low = 2^n - 1, that is a shift and a conditional complement,
+
+    U(v) = ((v << 1) & low) ^ ((low ^ 1) if h_1 else 0) | h_n,
+
+a few int operations with no table and no bound on n.  P2 = U o P1, so the
+two moves generate U and P1, and the orbit of x is the U-orbit of x together
+with the U-orbit of P1(x); P1 T P1 = T^-1 makes P1 map U-orbits onto
+U-orbits.  A Striezel is one T-orbit, so P1(x) lies in the U-orbit of x.  A
+Kranz is two, and P1, which moves a member one step along the cycle where U
+moves it two, swaps them.  So `_orbit_of` walks the n members of the U-orbit
+of x, makes one P1 move, and walks the U-orbit of P1(x) only for a Kranz.
 """
 
 from __future__ import annotations
@@ -212,28 +229,45 @@ def p2_bits(code: int) -> int:
     return (1 << m | r) << 2 | code & 3
 
 
-def _orbit_of(seed: int) -> tuple[set, bool]:
+def _u_orbit(start: int, n: int) -> list[int]:
+    """The U-orbit of the n-bit code start: U(start), ..., U^n(start), which
+    must be start again (RuntimeError if it is not).
+
+    U sends the code (1 << n) | v to (1 << n) | U(v) (module docstring).
+    The code shifted left holds its marker at bit n + 1 and h_1 at bit n,
+    and U keeps h_n.  So one XOR with `plain` (h_1 = 0) or `sheared`
+    (h_1 = 1) moves the marker down to bit n, complements bits 1..n-1 when
+    h_1 is 1, and writes h_n back to bit 0.
+    """
+    low = (1 << n) - 1
+    h1 = 1 << n - 1
+    hn = start & 1
+    plain = 3 << n | hn
+    sheared = (2 << n) ^ (low ^ 1) | hn
+    code = start
+    members = []
+    for _ in range(n):
+        code = (code << 1) ^ (sheared if code & h1 else plain)
+        members.append(code)
+    if code != start:
+        raise RuntimeError(f"a U-orbit did not close after n = {n} steps")
+    return members
+
+
+def _orbit_of(seed: int) -> tuple[list[int], bool]:
     """The orbit of seed under both moves, and whether a move fixes a member.
 
-    Both moves are involutions, so the orbit is a path or a cycle whose edges
-    alternate between them.  One walk leaves the seed by P1 and alternates
-    until a move fixes its member or the walk is back at the seed; if it was
-    a path, a second walk leaves the seed by P2.  Each edge is computed once:
-    k moves for a cycle of k members, k + 1 for a path.
+    The orbit is the U-orbit of seed together with the U-orbit of P1(seed)
+    (module docstring): one U-orbit of n members for a Striezel, which P1
+    maps onto itself, and two for a Kranz.  Each U-orbit is walked once, and
+    the only bit move is one P1.
     """
-    moves = (p1_bits, p2_bits)
-    seen = {seed}
-    for first in (0, 1):
-        b, i = seed, first
-        while (img := moves[i](b)) != b:
-            if img in seen:
-                if first == 0 and img == seed:
-                    return seen, False
-                raise RuntimeError("a bit move is not an involution")
-            seen.add(img)
-            b, i = img, 1 - i
-    # Both walks stopped at a member its move fixes: the orbit is a path.
-    return seen, True
+    n = seed.bit_length() - 1
+    members = _u_orbit(seed, n)
+    mirror = p1_bits(seed)
+    if mirror in members:
+        return members, True
+    return members + _u_orbit(mirror, n), False
 
 
 def count_closed_forms(n: int) -> dict:
@@ -263,28 +297,34 @@ def orbit_census(n: int) -> dict:
     skips those already placed (outside W_n* or in an earlier orbit) and
     seeds every orbit with its least member, so the orbits come out sorted
     by it.  An orbit is a Striezel path or a Kranz cycle (module docstring).
+    W_n* is move-invariant, so a walk that meets a placed code, or one code
+    twice, is a fault (RuntimeError).
     """
     if n > DEFAULT_CENSUS_BOUND:
         raise ValueError(f"n={n} exceeds the census bound {DEFAULT_CENSUS_BOUND}")
-    placed = _outside_star(n)
-    wn_star = 2**n - len(placed)
+    outside = _outside_star(n)
+    wn_star = 2**n - len(outside)
+    # placed[code] is 1 for the codes outside W_n* and in the orbits so far.
+    placed = bytearray(2 << n)
+    for code in outside:
+        placed[code] = 1
     orbits = []
-    for seed in range(1 << n, 2 << n):
-        if seed in placed:
-            continue
+    seed = placed.find(0, 1 << n)
+    while seed >= 0:
         orb, has_loop = _orbit_of(seed)
-        # placed holds the codes outside W_n* and the earlier orbits, which
-        # are disjoint from orb, so this checks orb <= W_n*.
-        if not placed.isdisjoint(orb):
-            raise RuntimeError("an orbit left W_n*, which is move-invariant")
-        placed |= orb
+        for code in orb:
+            if placed[code]:
+                raise RuntimeError("an orbit left W_n*, which is move-invariant")
+            placed[code] = 1
+        orb.sort()
         orbits.append(
             {
                 "size": len(orb),
                 "type": "Striezel" if has_loop else "Kranz",
-                "members": [f"{code:b}"[1:] for code in sorted(orb)],
+                "members": [bin(code)[3:] for code in orb],
             }
         )
+        seed = placed.find(0, seed + 1)
     return {
         "n": n,
         "wn_star": wn_star,

@@ -68,32 +68,53 @@ MUTANTS = (
         ("tests/test_degree2.py::test_bit_moves_match_extension_oracle",),
     ),
     Mutant(
-        "orbit walk never leaves the seed by P2",
+        "Kranz walk skips the U-orbit of P1(seed)",
         "degree2.py",
-        "    for first in (0, 1):\n",
-        "    for first in (0,):\n",
+        "    return members + _u_orbit(mirror, n), False\n",
+        "    return members, False\n",
         ("tests/test_degree2.py::test_orbit_walk_matches_oracle_from_every_seed",),
     ),
     Mutant(
         "census forgets placed orbits",
         "degree2.py",
-        "        placed |= orb\n",
+        "            placed[code] = 1\n",
         "",
         ("tests/test_degree2.py::test_census_matches_its_pinned_digest",),
     ),
     Mutant(
-        "walk does not alternate",
+        "walk mirrors the seed by P2, not P1",
         "degree2.py",
-        "            b, i = img, 1 - i\n",
-        "            b, i = img, i\n",
+        "    mirror = p1_bits(seed)\n",
+        "    mirror = p2_bits(seed)\n",
         ("tests/test_degree2.py::test_orbit_walk_matches_oracle_from_every_seed",),
     ),
     Mutant(
         "census walk flags every cycle as a path",
         "degree2.py",
-        "                    return seen, False\n",
-        "                    return seen, True\n",
+        "    return members + _u_orbit(mirror, n), False\n",
+        "    return members + _u_orbit(mirror, n), True\n",
         ("tests/test_degree2.py::test_census_matches_oracle_census",),
+    ),
+    Mutant(
+        "U drops its h_n term",
+        "degree2.py",
+        "    hn = start & 1\n",
+        "    hn = 0\n",
+        ("tests/test_degree2.py::test_u_is_p2_after_p1_on_every_code",),
+    ),
+    Mutant(
+        "U shears by h_n instead of h_1",
+        "degree2.py",
+        "(sheared if code & h1 else plain)",
+        "(sheared if code & 1 else plain)",
+        ("tests/test_degree2.py::test_u_is_p2_after_p1_on_every_code",),
+    ),
+    Mutant(
+        "U walk never checks that it closed",
+        "degree2.py",
+        "    if code != start:\n",
+        "    if False:\n",
+        ("tests/test_degree2.py::test_orbit_walk_refuses_an_orbit_that_does_not_close",),
     ),
     Mutant(
         "known move stored for the move itself",

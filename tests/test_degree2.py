@@ -32,7 +32,7 @@ from chamcovers import (
     veech_index,
 )
 from chamcovers import degree2
-from chamcovers.degree2 import MAX_COUNTS_N, _orbit_of
+from chamcovers.degree2 import MAX_COUNTS_N, _orbit_of, _u_orbit
 from conftest import (
     bits_of,
     code_of,
@@ -220,19 +220,19 @@ def test_census_matches_oracle_census():
 
 
 def test_orbit_walk_matches_oracle_from_every_seed(monkeypatch):
-    # One walk computes each edge once: |orb| moves on a cycle, |orb| + 1 on
-    # a path, whichever member of the orbit seeds it.
-    calls = [0]
+    # The walk steps by U inline and makes one bit move, P1 of the seed,
+    # whichever member of the orbit seeds it.
+    calls = {"p1": 0, "p2": 0}
 
-    def counted(move):
-        def wrapper(bits):
-            calls[0] += 1
-            return move(bits)
+    def counted(name, move):
+        def wrapper(code):
+            calls[name] += 1
+            return move(code)
 
         return wrapper
 
-    monkeypatch.setattr(degree2, "p1_bits", counted(p1_bits))
-    monkeypatch.setattr(degree2, "p2_bits", counted(p2_bits))
+    monkeypatch.setattr(degree2, "p1_bits", counted("p1", p1_bits))
+    monkeypatch.setattr(degree2, "p2_bits", counted("p2", p2_bits))
     for n in range(1, 13):
         oracle = {}
         for e in enumerate_wn_star(n):
@@ -240,18 +240,51 @@ def test_orbit_walk_matches_oracle_from_every_seed(monkeypatch):
                 orb = frozenset(oracle_orbit(e.bits))
                 for b in orb:
                     oracle[b] = (orb, oracle_has_loop(orb))
-            calls[0] = 0
+            calls.update(p1=0, p2=0)
             orb, has_loop = _orbit_of(code_of(e.bits))
+            assert len(orb) == len(set(orb))
             assert ({bits_of(c) for c in orb}, has_loop) == oracle[e.bits]
-            assert calls[0] == len(orb) + has_loop
+            assert calls == {"p1": 1, "p2": 0}
 
 
-def test_orbit_walk_refuses_a_move_that_is_not_an_involution(monkeypatch):
-    # 111 -P1-> 001 -P2-> 011 -P1-> 001 again, which an involution cannot do.
-    monkeypatch.setattr(degree2, "p1_bits", lambda code: code_of((0, 0, 1)))
-    monkeypatch.setattr(degree2, "p2_bits", lambda code: code_of((0, 1, 1)))
-    with pytest.raises(RuntimeError, match="not an involution"):
-        _orbit_of(code_of((1, 1, 1)))
+def test_u_is_p2_after_p1_on_every_code():
+    # One U step against the two bit moves on every n-bit code, the zero
+    # tuple and W_n minus W_n* included; every U-orbit closes after n steps.
+    for n in range(1, 17):
+        for code in range(1 << n, 2 << n):
+            assert _u_orbit(code, n)[0] == p2_bits(p1_bits(code))
+
+
+def test_u_orbit_matches_composed_oracle_past_the_table_bounds():
+    # From n = 17 on, p1_bits and p2_bits refuse their codes; U has no
+    # bound, and each step must be the extension oracle's P1 then P2.
+    rng = random.Random(1724)
+    for n in range(17, 25):
+        edges = [(1,) * n, (0,) * (n - 1) + (1,), (1,) + (0,) * (n - 1)]
+        for bits in edges + [tuple(rng.choices((0, 1), k=n)) for _ in range(6)]:
+            walk, b = [], bits
+            for _ in range(n):
+                b = oracle_p2_bits(oracle_p1_bits(b))
+                walk.append(code_of(b))
+            assert _u_orbit(code_of(bits), n) == walk
+
+
+def test_orbit_walk_refuses_an_orbit_that_does_not_close(monkeypatch):
+    # A P1 that leaves the n-bit codes starts a U walk that never comes back.
+    monkeypatch.setattr(degree2, "p1_bits", lambda code: code << 1)
+    with pytest.raises(RuntimeError, match=r"^a U-orbit did not close after n = 3 steps$"):
+        _orbit_of(code_of((0, 0, 1)))
+
+
+def test_census_refuses_a_member_met_twice(monkeypatch):
+    # 1010 has weak period 2, and U fixes it.  Left out of the outside set,
+    # it seeds an orbit whose walk lists it four times.
+    code = code_of((1, 0, 1, 0))
+    assert _u_orbit(code, 4) == [code] * 4
+    outside = degree2._outside_star
+    monkeypatch.setattr(degree2, "_outside_star", lambda n: outside(n) - {code})
+    with pytest.raises(RuntimeError, match=r"^an orbit left W_n\*"):
+        orbit_census(4)
 
 
 def test_census_refuses_an_orbit_that_leaves_the_star_family(monkeypatch):
