@@ -28,8 +28,8 @@ p * order(2 * delta).  H^n reads no S, and each of its output sides reads
 the same input side and keeps its period.  Each output side's first period
 is checked against the next before the result is trusted.
 
-Over a group whose moduli are all 2 (`FinAbGroup.exponent_two`) the P
-letters skip the kernel.  Codes are mixed-radix numbers over the moduli,
+Over a group of exponent 2 (`FinAbGroup.exponent`, every modulus 2) the
+P letters skip the kernel.  Codes are mixed-radix numbers over the moduli,
 so there each code is the binary number of its residues, and adding two
 elements, factor by factor mod 2, is XOR on their codes.  P1 = P1^-1 is
 the reflection R below.  P2 = P2^-1 is one XOR pass with c the code of
@@ -69,11 +69,27 @@ which reads the same frame as P1.  H^-n = R H^n R, and H, H^-1 are H^n at
 n = 1, -1.  P2^-1 keeps its own formula: it equals R H P2 H^-1 R, not a
 single reflection of P2.
 
-Measured, not proved here: over a group of exponent e, P1^e and P2^e fix
-every vector (checked on random vectors over ten groups, Z3 to Z4xZ4, by
-`test_p_letters_raised_to_the_group_exponent_are_the_identity`).  Over
-exponent 2 it follows from the modulus-2 formulas above: there P1 = P1^-1
-and P2 = P2^-1.
+P1 and P2 are transvections: P = I + D with D^2 = 0.  For P1 put
+D = P1 - I; as S(t) - S(t - 1) = h_{-t} - h_t, the P1 formula reads
+
+    (D h)_k = S(|k|) + S(|k| - 1),
+
+which is symmetric in k, so S_{Dh}(t) = sum_{j=1..t} ((Dh)_{-j} - (Dh)_j)
+is 0: S is P1-invariant.  D reads h only through S, so D(D h) = 0.  For
+P2 put v = P2 h - h.  The same sums give v_{-1} = 0 and, for t >= 1,
+
+    S_v(t) = -2 S(t) - h_t - h_{-t-1} - h_{-1}.
+
+Put into the P2 formula, these leave (P2 v - v)_{-1} = 0 and, up to
+sign, (P2 v - v)_k = 2 (h_t - h_{-t} + S(t) - S(t - 1)) = 0, with t = k
+for k >= 1 and t = -k - 1 for k <= -2.  So P^n = I + n D for every
+integer n (P^-1 = I - D is a transvection too), and over a group of
+exponent e, where e D h = 0, P1^e and P2^e fix every vector: each P1- and
+P2-cycle of vectors, and so of classes, has a length dividing e.
+`orbit.orbit_bfs` closes such cycles by that law, and
+`test_p_letters_are_transvections` checks D^2 = 0 on the window oracles.
+Over exponent 2 it gives P1 = P1^-1 and P2 = P2^-1, as the modulus-2
+formulas above do.
 
 Every letter is Z-linear and has a Z-linear inverse, so the output letters
 span the same subgroup of G as the input letters.  An output therefore
@@ -96,7 +112,7 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import sub
 
-from .groups import negation, residue_columns
+from .groups import negation
 from .vectors import EpVector, apply_aut, drift, side_codes
 
 
@@ -145,7 +161,7 @@ MAX_WORD_EXPONENT = 10_000
 # 997 and 991 with zero drift (1 976 056) runs; with a drift of order 3
 # (5 928 164) it is refused.  H^n, which reads no S, writes at most its
 # longer input side's prefix plus grow plus two periods.  A P letter over a
-# group whose moduli are all 2 builds no frame: it writes at most one entry
+# group of exponent 2 builds no frame: it writes at most one entry
 # more than its input and is never refused.
 MAX_LETTER_SIDE = 2**21
 
@@ -282,9 +298,16 @@ def _frame(h: EpVector, grow: int, drifts: bool):
         )
     m = side_len + grow
     sides = side_codes(h.rpre, h.rper, m), side_codes(h.lpre, h.lper, m)
+    moduli = h.group.moduli
+    if len(moduli) == 1:  # a code is its residue (`FinAbGroup.residue_columns`)
+        residues = [sides]
+    else:
+        residues = [
+            [tuple([col[c] for c in side]) for side in sides]
+            for col in h.group.residue_columns
+        ]
     columns = []
-    for col, n in zip(residue_columns(h.group), h.group.moduli):
-        r, l = [tuple([col[c] for c in side]) for side in sides]
+    for (r, l), n in zip(residues, moduli):
         s = tuple(accumulate(map(sub, l, r), initial=0)) if drifts and n > 2 else None
         columns.append((r, l, s, n))
     return h, right, left, side_len, tuple(columns)
@@ -306,19 +329,12 @@ def _act(h: EpVector, residues, frame) -> EpVector:
     for r, l, s, n in columns:
         out = residues(r, l, s, n, side_len)
         codes = out if codes is None else [c * n + x for c, x in zip(codes, out)]
+    codes = tuple(codes)
     j = side_len + k1  # the left side's first period starts at codes[j]
-    if codes[k0 + p : k0 + 2 * p] != codes[k0 : k0 + p] or (
-        codes[j + q : j + 2 * q] != codes[j : j + q]
-    ):
+    rper, lper = codes[k0 : k0 + p], codes[j : j + q]
+    if codes[k0 + p : k0 + 2 * p] != rper or codes[j + q : j + 2 * q] != lper:
         raise RuntimeError("synthesized tail failed its window check")
-    return EpVector._from_codes(
-        h.group,
-        tuple(codes[:k0]),
-        tuple(codes[k0 : k0 + p]),
-        tuple(codes[side_len:j]),
-        tuple(codes[j : j + q]),
-        h._gen,
-    )
+    return EpVector._from_codes(h.group, codes[:k0], rper, codes[side_len:j], lper, h._gen)
 
 
 def _reflect(h: EpVector) -> EpVector:
@@ -435,7 +451,7 @@ def parabolic_frame(h: EpVector):
     for any other vector, even an equal one, makes the letter raise
     ValueError.
     """
-    return (h,) if h.group.exponent_two else _frame(h, 2, True)
+    return (h,) if h.group.exponent == 2 else _frame(h, 2, True)
 
 
 def _parabolic(h: EpVector, frame, residues, involution) -> EpVector:
@@ -443,7 +459,7 @@ def _parabolic(h: EpVector, frame, residues, involution) -> EpVector:
     whose moduli are all 2, the kernel with `residues` over any other."""
     if frame is not None and frame[0] is not h:
         raise ValueError("the letter frame was built for another vector")
-    if h.group.exponent_two:
+    if h.group.exponent == 2:
         return involution(h)
     return _act(h, residues, _frame(h, 2, True) if frame is None else frame)
 

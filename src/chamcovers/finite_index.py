@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 from .action import act_h_pow
-from .groups import residue_columns
 from .vectors import EpVector, _one_sided_period
 
 
@@ -50,7 +49,7 @@ def _relations_hold(h: EpVector, window: int) -> str | None:
     every k in 1..W-1 and finds the same first failing k.  The relations
     are compared on each factor's int residues of the entries.
     """
-    factors = tuple(zip(residue_columns(h.group), h.group.moduli))
+    factors = tuple(zip(h.group.residue_columns, h.group.moduli))
 
     def combo(*terms):
         """Residues of the sum of c * h_k over the (c, k) terms."""

@@ -50,14 +50,41 @@ class FinAbGroup:
         return len(self.moduli)
 
     @cached_property
-    def exponent_two(self) -> bool:
-        """Is every modulus 2, so that 2x = 0 for every element?
+    def exponent(self) -> int:
+        """The least e >= 1 with e x = 0 for every element: the lcm of the moduli.
 
-        Codes are then the binary numbers of the residue tuples (see
-        `residue_columns`), and adding two elements is XOR on their codes.
+        P1 and P2 have order dividing e on vectors (`action` docstring), which
+        `orbit.orbit_bfs` reads to close their cycles; over exponent 2, codes
+        are the binary numbers of the residue tuples (`residue_columns`), so
+        adding two elements is XOR on their codes, which the letters read.
         Computed once per group object, as the letters read it per call.
         """
-        return all(n == 2 for n in self.moduli)
+        return math.lcm(*self.moduli)
+
+    @cached_property
+    def residue_columns(self) -> tuple[tuple[int, ...], ...]:
+        """Column i lists factor i's residue of every element, indexed by code.
+
+        Codes are mixed-radix numbers over `moduli`, first factor most
+        significant: the code of (r_1, ..., r_r) is (...(r_1 n_2 + r_2) n_3 ...) + r_r.
+        Over a cyclic group the code is the residue itself.  Kept on the group
+        object, so the letters read it per frame as an attribute, without
+        hashing the group.
+        """
+        elems, _ = element_index(self)
+        return tuple(zip(*(e.residues for e in elems)))
+
+    @cached_property
+    def refinement_tree(self) -> "Refinement":
+        """The root of the group's refinement tree (`Refinement`), holding
+        all of Aut(G).  Built at its first read and grown on demand by
+        `vectors.canonical_class`; kept on the group object, so every image
+        reads it as an attribute, without hashing the group."""
+        return Refinement(automorphisms(self), True)
+
+    def __reduce__(self):
+        # The tables kept on the object are rebuilt on demand, not pickled.
+        return type(self), (self.moduli,)
 
     def spec(self) -> str:
         return "x".join(f"Z{n}" for n in self.moduli)
@@ -243,18 +270,6 @@ def element_index(group: FinAbGroup):
 
 
 @cache
-def residue_columns(group: FinAbGroup) -> tuple[tuple[int, ...], ...]:
-    """Column i lists factor i's residue of every element, indexed by code.
-
-    Codes are mixed-radix numbers over `moduli`, first factor most
-    significant: the code of (r_1, ..., r_r) is (...(r_1 n_2 + r_2) n_3 ...) + r_r.
-    Over a cyclic group the code is the residue itself.
-    """
-    elems, _ = element_index(group)
-    return tuple(zip(*(e.residues for e in elems)))
-
-
-@cache
 def element_labels(group: FinAbGroup) -> tuple[str, ...]:
     """The text of every element (`GroupElem.__str__`), indexed by code."""
     return tuple([str(e) for e in element_index(group)[0]])
@@ -400,3 +415,37 @@ def automorphisms(group: FinAbGroup) -> tuple[Automorphism, ...]:
 
     rec(0, [(0,) * len(moduli)])
     return tuple(found)
+
+
+class Refinement(dict):
+    """One node of a group's refinement tree: the automorphisms that survive
+    the letters on the path from the root, and a dict from a letter's code
+    to the node the walk moves to next.
+
+    A child is made when its code is first looked up (`__missing__`): the
+    survivors whose image of the code is least.  A code that splits nothing
+    (zero, or any code whose image the path already fixes) maps back to
+    the node itself.  A node with one survivor is a leaf; `table` is that
+    automorphism's code table, and None at every other node.  `fixes` says
+    whether the identity survives: it does at the root, and at a child
+    exactly when it does at the parent and the least image of the code is
+    the code itself.
+    """
+
+    __slots__ = ("survivors", "table", "fixes")
+
+    def __init__(self, survivors, fixes: bool) -> None:
+        super().__init__()
+        self.survivors = survivors
+        self.table = survivors[0].codes if len(survivors) == 1 else None
+        self.fixes = fixes
+
+    def __missing__(self, c: int) -> "Refinement":
+        least = min([phi.codes[c] for phi in self.survivors])
+        kept = [phi for phi in self.survivors if phi.codes[c] == least]
+        if len(kept) == len(self.survivors):
+            child = self
+        else:
+            child = Refinement(kept, self.fixes and least == c)
+        self[c] = child
+        return child

@@ -63,23 +63,30 @@ def orbit_bfs(h: EpVector, cap: int = DEFAULT_CAP) -> SchreierGraph:
 
     Vertex 0 is `canonical_class(h)`.
 
-    Each vertex is expanded by P1, P1^-1, P2 and P2^-1 in turn, and each
-    undirected edge is computed once.  The letter formulas are Z-linear and
-    an automorphism acts letterwise and additively, so the letters commute
-    with automorphisms and act on classes, where P1^-1 and P2^-1 are the
-    inverses of P1 and P2.  A computed move P1(i) = j thus also gives
-    P1^-1(j) = i (and P1^-1(i) = j gives P1(j) = i, likewise for P2); that
-    known move is taken without acting or canonicalizing.  Over a group whose
-    moduli are all 2, the `action` docstring's modulus-2 formulas give P1^-1
-    = P1 and P2^-1 = P2 on vectors, hence on classes, so a computed m(i) = j
-    also gives m^-1(i) = j and m(j) = i.  A vertex then runs at most one
-    letter of each pair, and a complete orbit runs one letter per P1-cycle
-    and one per P2-cycle.  A known move never finds a new class, so the cap
-    falls on the same move as when every move is computed.  Vertices are
-    expanded in the order they are found, so the vertex list is the queue.
-    Expanding a vertex appends its P1 and P2 targets to the edge lists, and
-    None pads them: a move the cap stopped has a None edge, even when the
-    edge is known from the other end.
+    Each vertex is expanded by P1, P1^-1, P2 and P2^-1 in turn.  The letter
+    formulas are Z-linear and an automorphism acts letterwise and
+    additively, so the letters commute with automorphisms and act on
+    classes, where P1^-1 and P2^-1 are the inverses of P1 and P2.  For each
+    of P1 and P2 the search keeps the edges known so far as a partial
+    permutation (the target and source lists of `_record`).  A computed move
+    P(i) = j, or P^-1(j) = i, is one edge i -> j, and with it P^-1 at j and
+    P at i are known.  Each letter is a transvection of order dividing the
+    group's exponent e (`action` docstring), so every P-cycle of classes has
+    a length dividing e.  When the edges known form a path of e - 1 edges
+    through e classes, its cycle has length e, and the edge from the last
+    class back to the first is known too.  At e = 2 that is the involution
+    rule: a computed m(i) = j also gives m(j) = i.  A complete orbit then
+    runs, per P1- and P2-cycle of length n, n - 1 letters when n = e and n
+    letters otherwise.  Recording an edge walks the path or cycle it joins,
+    at most e steps, and e is at most 64 where classes are canonical
+    (`groups.MAX_AUT_GROUP_ORDER`).
+
+    A known move is taken without acting or canonicalizing.  It never finds
+    a new class, so the cap falls on the same move as when every move is
+    computed.  Vertices are expanded in the order they are found, so the
+    vertex list is the queue.  The reported edges are those of the moves
+    taken: a move the cap stopped has a None edge, even when the edge is
+    known from the other end.
 
     The letters at one vertex read one frame (`action.parabolic_frame`).
     It is built at the vertex's first computed move, handed to each letter
@@ -89,48 +96,79 @@ def orbit_bfs(h: EpVector, cap: int = DEFAULT_CAP) -> SchreierGraph:
     if cap < 1:
         raise ValueError("cap must be >= 1")
     start = canonical_class(h)
+    e = start.group.exponent
     index: dict[VectorClass, int] = {start: 0}
     vertices: list[VectorClass] = [start]
-    p1_edges: list[int | None] = []
-    p2_edges: list[int | None] = []
-    # known[m][i] is the target of move m at vertex i when a computed move
-    # already gave it; the moves are numbered so that m ^ 1 is m's inverse.
-    known: tuple[dict[int, int], ...] = ({}, {}, {}, {})
-    involutions = start.group.exponent_two
-    moves = ((act_p1, p1_edges), (act_p1_inv, None), (act_p2, p2_edges), (act_p2_inv, None))
+    # p1[i] = P1(i) and p1_inv[i] = P1^-1(i) where known, else None; p2 and
+    # p2_inv likewise.  Each move reads its own list and records the edge
+    # it finds in both lists of its letter.
+    p1: list[int | None] = [None]
+    p1_inv: list[int | None] = [None]
+    p2: list[int | None] = [None]
+    p2_inv: list[int | None] = [None]
+    tables = (p1, p1_inv, p2, p2_inv)
+    moves = ((act_p1, p1, p1_inv), (act_p1_inv, p1_inv, p1))
+    moves += ((act_p2, p2, p2_inv), (act_p2_inv, p2_inv, p2))
     cap_hit = False
     i = 0
     while i < len(vertices) and not cap_hit:
         frame = None
-        for m, (act, edges) in enumerate(moves):
-            j = known[m].pop(i, None)
+        for m, (act, targets, sources) in enumerate(moves):
+            if targets[i] is not None:
+                continue
+            if frame is None:
+                frame = parabolic_frame(vertices[i])
+            cls = canonical_class(act(vertices[i], frame))
+            j = index.get(cls)
             if j is None:
-                if frame is None:
-                    frame = parabolic_frame(vertices[i])
-                cls = canonical_class(act(vertices[i], frame))
-                j = index.get(cls)
-                if j is None:
-                    if len(vertices) >= cap:
-                        cap_hit = True
-                        break
-                    j = len(vertices)
-                    index[cls] = j
-                    vertices.append(cls)
-                known[m ^ 1][j] = i
-                if involutions:
-                    known[m ^ 1][i] = j
-                    if j != i:
-                        known[m][j] = i
-            if edges is not None:
-                edges.append(j)
-        i += 1
+                if len(vertices) >= cap:
+                    cap_hit = True
+                    break
+                j = len(vertices)
+                index[cls] = j
+                vertices.append(cls)
+                for table in tables:
+                    table.append(None)
+            _record(targets, sources, i, j, e)
+        else:
+            i += 1
+    # Vertex i was cut at move m: it took P1 when m > 0 and P2 when m > 2.
+    taken_p1 = i + (m > 0) if cap_hit else i
+    taken_p2 = i + (m > 2) if cap_hit else i
     pad = [None] * len(vertices)
     return SchreierGraph(
         vertices=tuple(vertices),
-        p1_edges=tuple(p1_edges + pad[len(p1_edges) :]),
-        p2_edges=tuple(p2_edges + pad[len(p2_edges) :]),
+        p1_edges=tuple(p1[:taken_p1] + pad[taken_p1:]),
+        p2_edges=tuple(p2[:taken_p2] + pad[taken_p2:]),
         complete=not cap_hit,
     )
+
+
+def _record(targets: list, sources: list, a: int, b: int, e: int) -> None:
+    """Record the edge a -> b of a letter whose cycles have lengths dividing
+    e: targets[a] = b and sources[b] = a, where both were unknown.
+
+    When the edge joins a path of e - 1 edges through e classes, its cycle
+    has length e, so the edge from the path's last class to its first is
+    recorded too.  `targets` and `sources` may be the lists of P or of
+    P^-1: a path of one is a path of the other, read backwards.
+    """
+    targets[a] = b
+    sources[b] = a
+    edges = 1
+    last = b
+    while targets[last] is not None:
+        last = targets[last]
+        if last == b:  # the edge closed its cycle
+            return
+        edges += 1
+    first = a
+    while sources[first] is not None:
+        first = sources[first]
+        edges += 1
+    if edges == e - 1:
+        targets[last] = first
+        sources[first] = last
 
 
 _HARD_CAP = 2**21

@@ -37,17 +37,14 @@ from __future__ import annotations
 
 import math
 import re
-from functools import cache
 
 from .groups import (
     Automorphism,
     FinAbGroup,
     GroupElem,
-    automorphisms,
     element_index,
     element_labels,
     parse_elem,
-    residue_columns,
     span,
 )
 
@@ -285,7 +282,7 @@ def drift(h: EpVector, p: int) -> GroupElem:
         h.group,
         tuple([
             (a * sum([col[c] for c in h.lper]) - b * sum([col[c] for c in h.rper])) % n
-            for col, n in zip(residue_columns(h.group), h.group.moduli)
+            for col, n in zip(h.group.residue_columns, h.group.moduli)
         ]),
     )
 
@@ -343,39 +340,6 @@ class VectorClass(EpVector):
         return self
 
 
-class _Refinement(dict):
-    """One node of a group's refinement tree: the automorphisms that survive
-    the letters on the path from the root, and a dict from a letter's code
-    to the node the walk moves to next.
-
-    A child is made when its code is first looked up (`__missing__`): the
-    survivors whose image of the code is least.  A code that splits nothing
-    (zero, or any code whose image the path already fixes) maps back to
-    the node itself.  A node with one survivor is a leaf; `table` is that
-    automorphism's code table, and None at every other node.
-    """
-
-    __slots__ = ("survivors", "table")
-
-    def __init__(self, survivors) -> None:
-        super().__init__()
-        self.survivors = survivors
-        self.table = survivors[0].codes if len(survivors) == 1 else None
-
-    def __missing__(self, c: int) -> "_Refinement":
-        least = min([phi.codes[c] for phi in self.survivors])
-        kept = [phi for phi in self.survivors if phi.codes[c] == least]
-        child = self if len(kept) == len(self.survivors) else _Refinement(kept)
-        self[c] = child
-        return child
-
-
-@cache
-def _refinement_tree(group: FinAbGroup) -> _Refinement:
-    """The root of the group's refinement tree, holding all of Aut(G)."""
-    return _Refinement(automorphisms(group))
-
-
 def canonical_class(h: EpVector) -> VectorClass:
     """The automorphism class of h (requires generating letters).
 
@@ -390,33 +354,38 @@ def canonical_class(h: EpVector) -> VectorClass:
     every letter give the same image.
 
     Which automorphisms survive depends only on the group and the letters
-    read so far, so the filtering steps are kept in a tree per group (see
-    `_Refinement`), grown on demand and cached like `automorphisms`.  Each
-    letter is one dict step down the tree, and only a code met for the
-    first time at a node runs the filter.  The walk stops at a leaf, or at
-    the end of the letters with several survivors left, which then give
-    the same image.  The tree's size depends on the group alone: fully
+    read so far, so the filtering steps are kept in a tree per group object
+    (`FinAbGroup.refinement_tree`, nodes `groups.Refinement`), grown on
+    demand.  Each letter is one dict step down the tree, and only a code met
+    for the first time at a node runs the filter.  The walk stops at a leaf,
+    or at the end of the letters with several survivors left, which then
+    give the same image.  The tree's size depends on the group alone: fully
     grown it has 218 nodes over Z2xZ2xZ2, 1 954 over Z4xZ4 and 22 906,
     holding 100 800 survivor entries, over Z2^4.
 
-    The image is read off the surviving automorphism's code table as a key.
-    When it equals h's own key, a class h is returned itself and a plain h
-    lends the new class its words; otherwise the key is stored as it is, as
-    a letterwise image of a normal form is a normal form (see `apply_aut`).
+    When the identity survives, h is its own least image: a class h is
+    returned itself, and a plain h lends the new class its words.  Otherwise
+    the image is read off the surviving automorphism's code table as a key
+    and stored as it is, as a letterwise image of a normal form is a normal
+    form (see `apply_aut`).  That image differs from h: an automorphism
+    fixing every letter of h fixes their span, which is G.  The generating
+    check runs only while `generates` has no answer on h.
     """
-    require_generating(h)
-    node = _refinement_tree(h.group)
+    if h._gen is not True:
+        require_generating(h)
+    node = h.group.refinement_tree
     for c in h.letter_codes():
         if node.table is not None:
             break
         node = node[c]
-    table = node.survivors[0].codes
-    key = tuple([tuple([table[c] for c in word]) for word in h.key()])
-    if key == h.key():
+    if node.fixes:
         if type(h) is VectorClass:
             return h
-        key = h.key()
-    return VectorClass._from_normal_codes(h.group, *key, h._gen)
+        return VectorClass._from_normal_codes(h.group, *h.key(), h._gen)
+    table = node.survivors[0].codes
+    return VectorClass._from_normal_codes(
+        h.group, *[tuple([table[c] for c in word]) for word in h.key()], h._gen
+    )
 
 
 _TAIL_RE = re.compile(r"([0-9:,]*)(\|?)\(([0-9:,]*)\)")

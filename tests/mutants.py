@@ -119,8 +119,8 @@ MUTANTS = (
     Mutant(
         "known move stored for the move itself",
         "orbit.py",
-        "                known[m ^ 1][j] = i\n",
-        "                known[m][j] = i\n",
+        "    sources[b] = a\n",
+        "    targets[b] = a\n",
         ("tests/test_orbit.py::test_orbit_bfs_matches_oracle_search_over_product_groups",),
     ),
     Mutant(
@@ -133,15 +133,36 @@ MUTANTS = (
     Mutant(
         "involution record dropped",
         "orbit.py",
-        "                        known[m][j] = i\n",
-        "                        pass\n",
+        "        targets[last] = first\n",
+        "        pass\n",
         ("tests/test_orbit.py::test_complete_orbit_computes_each_edge_once",),
     ),
     Mutant(
-        "involution flag on even moduli",
+        "chain closes after e edges",
+        "orbit.py",
+        "    if edges == e - 1:\n",
+        "    if edges == e:\n",
+        ("tests/test_orbit.py::test_complete_orbit_computes_each_edge_once",),
+    ),
+    Mutant(
+        "exponent read as the largest modulus",
         "groups.py",
-        "        return all(n == 2 for n in self.moduli)\n",
-        "        return all(n % 2 == 0 for n in self.moduli)\n",
+        "        return math.lcm(*self.moduli)\n",
+        "        return max(self.moduli)\n",
+        ("tests/test_orbit.py::test_orbit_bfs_matches_oracle_search_where_cycles_close",),
+    ),
+    Mutant(
+        "involution flag on even moduli",
+        "action.py",
+        "    if h.group.exponent == 2:\n        return involution(h)\n",
+        "    if h.group.exponent % 2 == 0:\n        return involution(h)\n",
+        ("tests/test_orbit.py::test_orbit_bfs_matches_oracle_search_over_product_groups",),
+    ),
+    Mutant(
+        "codes read as residues over every group",
+        "action.py",
+        "    if len(moduli) == 1:",
+        "    if True:",
         ("tests/test_orbit.py::test_orbit_bfs_matches_oracle_search_over_product_groups",),
     ),
     Mutant(
@@ -204,9 +225,16 @@ MUTANTS = (
     ),
     Mutant(
         "refinement keeps the greatest image",
-        "vectors.py",
+        "groups.py",
         "        least = min([phi.codes[c] for phi in self.survivors])\n",
         "        least = max([phi.codes[c] for phi in self.survivors])\n",
+        ("tests/test_vectors.py::test_canonical_class_matches_brute_force_oracle",),
+    ),
+    Mutant(
+        "identity survives every split",
+        "groups.py",
+        "            child = Refinement(kept, self.fixes and least == c)\n",
+        "            child = Refinement(kept, self.fixes)\n",
         ("tests/test_vectors.py::test_canonical_class_matches_brute_force_oracle",),
     ),
     Mutant(

@@ -63,7 +63,7 @@ def test_exponent_two_groups_add_codes_by_xor():
             for i, a in enumerate(elems)
             for j, b in enumerate(elems)
         )
-        assert g.exponent_two is xor is all(n == 2 for n in g.moduli), spec
+        assert (g.exponent == 2) is xor is all(n == 2 for n in g.moduli), spec
 
 
 def test_elem_serialization_round_trip():

@@ -386,12 +386,27 @@ def test_probe_cuts_fall_on_every_move(monkeypatch):
     assert cut_moves == {"act_p1", "act_p1_inv", "act_p2", "act_p2_inv"}
 
 
+def _cycle_lengths(perm):
+    """The lengths of the cycles of a permutation given as a target list."""
+    lengths, seen = [], set()
+    for i in range(len(perm)):
+        n, j = 0, i
+        while j not in seen:
+            seen.add(j)
+            j = perm[j]
+            n += 1
+        if n:
+            lengths.append(n)
+    return lengths
+
+
 def test_complete_orbit_computes_each_edge_once(monkeypatch):
     # Each of the 4n moves of a complete orbit of order n pairs with the
     # inverse move at its target, and exactly one move of each pair runs.
-    # Over a group whose moduli are all 2, P1 and P2 are involutions, so the
-    # four moves of a P1- or P2-cycle ({i, j} with j = P(i), or a loop) share
-    # one letter call.
+    # P1 and P2 are transvections, so their cycles have lengths dividing the
+    # group's exponent e, and the last edge of a cycle of length e is known
+    # once its other e - 1 edges are: such a cycle runs e - 1 letters and
+    # any other cycle one per edge.  At e = 2 that is one letter per cycle.
     calls = []
     for name in ("act_p1", "act_p1_inv", "act_p2", "act_p2_inv"):
         letter = getattr(orbit, name)
@@ -400,25 +415,37 @@ def test_complete_orbit_computes_each_edge_once(monkeypatch):
         )
     z2xz2 = parse_group("Z2xZ2")
     zero, a, b = z2xz2.zero(), *z2xz2.factor_generators()
-    starts = [PARITY, FOURP, h_pow_fixed(Z3, (Z3.elem(1), Z3.elem(2)))]
+    starts = [PARITY, FOURP]
     # Over Z2xZ2 a path of 4 classes and a cycle of 8.
     starts += [h_pow_fixed(z2xz2, (zero, zero, a, b)), h_pow_fixed(z2xz2, (zero, a, zero, a + b))]
     starts += [expand(e) for e in enumerate_wn_star(5)]
+    # H^2-fixed orbits whose letter counts are pinned below.
+    pinned = {"Z3": 12, "Z5": 40, "Z4": 7, "Z6": 30}
+    params = {"Z3": (1, 2), "Z5": (1, 2), "Z4": (1, 3), "Z6": (1, 5)}
+    for spec, (x, y) in params.items():
+        group = parse_group(spec)
+        starts.append(h_pow_fixed(group, (group.elem(x), group.elem(y))))
     seen = set()
     for h in starts:
         calls.clear()
         graph = orbit_bfs(h)
         assert graph.complete
-        if all(n == 2 for n in h.group.moduli):
-            cycles = sum(
+        e = h.group.exponent
+        expected = sum(
+            n - 1 if n == e else n
+            for perm in (graph.p1_edges, graph.p2_edges)
+            for n in _cycle_lengths(perm)
+        )
+        assert len(calls) == expected, format_vector(h)
+        if h.group.spec() in pinned:
+            assert len(calls) == pinned[h.group.spec()], h.group.spec()
+        if e == 2:
+            assert len(calls) == sum(
                 p[i] >= i for p in (graph.p1_edges, graph.p2_edges) for i in range(graph.order)
             )
-            assert len(calls) == cycles
-        else:
-            assert len(calls) == 2 * graph.order
         seen.add((h.group.moduli, graph.order))
     assert {((2, 2), 4), ((2, 2), 8)} <= seen
-    assert len(seen) >= 5 and any(moduli == (3,) for moduli, _ in seen)
+    assert {(3,), (4,), (5,), (6,)} <= {moduli for moduli, _ in seen}
 
 
 def test_orbit_bfs_builds_one_frame_per_vertex_that_runs_a_letter(monkeypatch):
@@ -460,26 +487,40 @@ def test_orbit_bfs_builds_one_frame_per_vertex_that_runs_a_letter(monkeypatch):
     assert skipped > 0
 
 
-@pytest.mark.parametrize("spec", ["Z2", "Z2xZ2", "Z2xZ2xZ2"])
-def test_orbit_bfs_matches_oracle_search_over_exponent_two_groups(spec):
-    # Here a computed move also gives its inverse and the move back from its
-    # target; the oracle computes all four moves at every vertex.  The caps
-    # cut the searches after different moves.
-    rng = random.Random(27)
-    group = parse_group(spec)
+def _closed_against_oracle(group, rng, caps) -> int:
+    """Compare `orbit_bfs` with the oracle search from three random starts
+    and an H^5-fixed one at each cap; return how many searches closed."""
     gens = tuple(group.factor_generators())
     starts = [random_vector(group, rng) for _ in range(3)]
-    # An H^5-fixed vector whose orbit is a path of 5 classes.
     starts.append(h_pow_fixed(group, (group.zero(),) * (5 - len(gens)) + gens))
     closed = 0
     for h in starts:
-        for cap in (1, 2, 3, 5, 8, 16):
+        for cap in caps:
             graph = orbit_bfs(h, cap=cap)
             reps, p1, p2, cap_hit = oracle_orbit_bfs(h, cap=cap)
             assert tuple(c.representative for c in graph.vertices) == reps
             assert (graph.p1_edges, graph.p2_edges, graph.cap_hit) == (p1, p2, cap_hit)
             closed += graph.complete
-    assert closed >= 3
+    return closed
+
+
+@pytest.mark.parametrize("spec", ["Z2", "Z2xZ2", "Z2xZ2xZ2"])
+def test_orbit_bfs_matches_oracle_search_over_exponent_two_groups(spec):
+    # Here a computed move also gives its inverse and the move back from its
+    # target; the oracle computes all four moves at every vertex.  The caps
+    # cut the searches after different moves.  The H^5-fixed orbit is a path
+    # of 5 classes.
+    group, caps = parse_group(spec), (1, 2, 3, 5, 8, 16)
+    assert _closed_against_oracle(group, random.Random(27), caps) >= 3
+
+
+@pytest.mark.parametrize("spec", ["Z3", "Z4", "Z5", "Z6", "Z8", "Z2xZ3"])
+def test_orbit_bfs_matches_oracle_search_where_cycles_close(spec):
+    # A path of e - 1 known edges gives its cycle's last edge (e the group's
+    # exponent).  At every cap from 1 to 16 a cut can fall between the move
+    # that closes a cycle and the vertex that takes the closing edge.  Over
+    # Z2xZ3 the largest modulus is not the exponent.
+    _closed_against_oracle(parse_group(spec), random.Random(30), range(1, 17))
 
 
 def test_orbit_bfs_matches_oracle_search_over_product_groups():

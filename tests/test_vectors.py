@@ -28,7 +28,7 @@ from chamcovers import (
 )
 from chamcovers.action import _reflect
 from chamcovers.groups import element_index
-from chamcovers.vectors import _refinement_tree, drift, side_codes, window
+from chamcovers.vectors import drift, side_codes, window
 from conftest import (
     element_words,
     oracle_canonical_class,
@@ -383,7 +383,7 @@ def test_canonical_class_matches_the_z2x4_golden():
 
 def _tree_nodes(group) -> int:
     """Nodes of the group's refinement tree after growing every child."""
-    nodes, stack = 0, [_refinement_tree(group)]
+    nodes, stack = 0, [group.refinement_tree]
     while stack:
         node = stack.pop()
         nodes += 1
@@ -400,7 +400,9 @@ def test_canonical_class_does_not_depend_on_the_order_the_tree_grew_in(spec):
     assert len(corpus) > 25
     passes = []
     for order in (corpus, corpus[::-1]):
-        _refinement_tree.cache_clear()
+        # Each pass grows the tree of a fresh group object from its root.
+        fresh = parse_group(spec)
+        order = [parse_vector(fresh, format_vector(h)) for h in order]
         passes.append({h: canonical_class(h) for h in order})
     assert passes[0] == passes[1]
     for h, cls in passes[0].items():
@@ -408,7 +410,6 @@ def test_canonical_class_does_not_depend_on_the_order_the_tree_grew_in(spec):
 
 
 def test_fully_grown_refinement_tree_size():
-    _refinement_tree.cache_clear()
     assert _tree_nodes(parse_group("Z2xZ2xZ2")) == 218
     assert _tree_nodes(parse_group("Z2xZ4")) == 31
 
