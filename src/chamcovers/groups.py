@@ -11,7 +11,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 
 
 class GroupParseError(ValueError):
@@ -137,16 +137,16 @@ class GroupElem:
         self._check_same_group(other)
         return GroupElem(
             self.group,
-            tuple(
+            tuple([
                 (a + b) % n
                 for a, b, n in zip(self.residues, other.residues, self.group.moduli)
-            ),
+            ]),
         )
 
     def __neg__(self) -> "GroupElem":
         return GroupElem(
             self.group,
-            tuple((-a) % n for a, n in zip(self.residues, self.group.moduli)),
+            tuple([-a % n for a, n in zip(self.residues, self.group.moduli)]),
         )
 
     def __sub__(self, other: "GroupElem") -> "GroupElem":
@@ -156,15 +156,13 @@ class GroupElem:
         """k-fold sum of self (k may be any integer)."""
         return GroupElem(
             self.group,
-            tuple((k * a) % n for a, n in zip(self.residues, self.group.moduli)),
+            tuple([k * a % n for a, n in zip(self.residues, self.group.moduli)]),
         )
 
     def order(self) -> int:
         """Least t >= 1 with t * self = 0."""
-        return reduce(
-            math.lcm,
-            (n // math.gcd(a, n) for a, n in zip(self.residues, self.group.moduli)),
-            1,
+        return math.lcm(
+            *[n // math.gcd(a, n) for a, n in zip(self.residues, self.group.moduli)]
         )
 
     def is_zero(self) -> bool:

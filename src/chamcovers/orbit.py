@@ -119,13 +119,11 @@ def orbit_bfs(h: EpVector, cap: int = DEFAULT_CAP) -> SchreierGraph:
             if frame is None:
                 frame = parabolic_frame(vertices[i])
             cls = canonical_class(act(vertices[i], frame))
-            j = index.get(cls)
-            if j is None:
-                if len(vertices) >= cap:
+            j = index.setdefault(cls, len(vertices))
+            if j == len(vertices):
+                if j >= cap:
                     cap_hit = True
                     break
-                j = len(vertices)
-                index[cls] = j
                 vertices.append(cls)
                 for table in tables:
                     table.append(None)

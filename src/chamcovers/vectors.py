@@ -53,6 +53,23 @@ class VectorParseError(ValueError):
     """Raised for a malformed vector spec string."""
 
 
+_new = object.__new__
+
+
+def _build(cls, group: FinAbGroup, rpre, rper, lpre, lper, gen) -> "EpVector":
+    """The one maker of stored vectors: a new cls object (`EpVector` or
+    `VectorClass`) holding the group, four code words in range and in
+    normal form, and the generation answer `gen` (True, False or None)."""
+    h = _new(cls)
+    _put_group(h, group)
+    _put_rpre(h, rpre)
+    _put_rper(h, rper)
+    _put_lpre(h, lpre)
+    _put_lper(h, lper)
+    _put_gen(h, gen)
+    return h
+
+
 class EpVector:
     """One eventually periodic bi-infinite vector; any spelling is stored in
     normal form, so two spellings of one vector compare and hash equal.
@@ -70,14 +87,14 @@ class EpVector:
 
     __slots__ = ("group", "rpre", "rper", "lpre", "lper", "_gen")
 
-    def __init__(
-        self,
+    def __new__(
+        cls,
         group: FinAbGroup,
         right_prefix: tuple[GroupElem, ...],
         right_period: tuple[GroupElem, ...],
         left_prefix: tuple[GroupElem, ...],
         left_period: tuple[GroupElem, ...],
-    ) -> None:
+    ) -> "EpVector":
         if not right_period or not left_period:
             raise ValueError("periods must be nonempty")
         _, index = element_index(group)
@@ -86,7 +103,7 @@ class EpVector:
             if any(e.group is not group and e.group != group for e in word):
                 raise ValueError("vector letter lives in a different group")
             words.append(tuple([index[e.residues] for e in word]))
-        self._store(group, *_normal_form(*words), None)
+        return _build(cls, group, *_normal_form(*words), None)
 
     @classmethod
     def _from_codes(
@@ -96,24 +113,12 @@ class EpVector:
 
         `gen` is whether the letters generate G, when the caller knows it.
         """
-        return cls._from_normal_codes(group, *_normal_form(rpre, rper, lpre, lper), gen)
+        rpre, rper = _normal_side(rpre, rper)
+        lpre, lper = _normal_side(lpre, lper)
+        return _build(cls, group, rpre, rper, lpre, lper, gen)
 
-    @classmethod
-    def _from_normal_codes(
-        cls, group: FinAbGroup, rpre, rper, lpre, lper, gen: bool | None
-    ) -> "EpVector":
-        """The vector whose code words are in range and already in normal form."""
-        h = object.__new__(cls)
-        h._store(group, rpre, rper, lpre, lper, gen)
-        return h
-
-    def _store(self, group, rpre, rper, lpre, lper, gen) -> None:
-        _put_group(self, group)
-        _put_rpre(self, rpre)
-        _put_rper(self, rper)
-        _put_lpre(self, lpre)
-        _put_lper(self, lper)
-        _put_gen(self, gen)
+    # The vector whose code words are in range and already in normal form.
+    _from_normal_codes = classmethod(_build)
 
     def __setattr__(self, name, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of an EpVector")
@@ -189,6 +194,7 @@ class EpVector:
 
 # The slots' own setters: they store a field past the refusing __setattr__,
 # and cost less than object.__setattr__, which looks the field up by name.
+# `_build` is their one caller that makes vectors.
 _put_group, _put_rpre, _put_rper, _put_lpre, _put_lper, _put_gen = [
     EpVector.__dict__[name].__set__ for name in EpVector.__slots__
 ]
@@ -206,19 +212,25 @@ def _normal_form(rpre, rper, lpre, lper) -> tuple[tuple, tuple, tuple, tuple]:
 
 
 def _normal_side(prefix, period) -> tuple[tuple, tuple]:
-    """The shortest prefix and primitive period spelling one side's word."""
+    """The shortest prefix and primitive period spelling one side's word.
+
+    The primitive period is the least d dividing n = len(period) at which
+    the period equals itself shifted by d.  Then the tail of the prefix is
+    pulled into the repeating part while each letter is the one the period
+    would place there, in one backwards scan that stops at the first
+    mismatch; every pulled letter rotates the period right by one.
+    """
     n, d = len(period), 1
-    while n % d or period != period[:d] * (n // d):
+    while n % d or period[d:] != period[:-d]:
         d += 1
     period = period[:d]
-    # Pull the tail of the prefix into the repeating part while each letter is
-    # the one the period would place there; every pulled letter rotates the
-    # period right by one.
-    j = 0
-    while j < len(prefix) and prefix[-1 - j] == period[-1 - j % d]:
+    if not prefix or prefix[-1] != period[-1]:
+        return prefix, period
+    m, j = len(prefix), 1
+    while j < m and prefix[-1 - j] == period[-1 - j % d]:
         j += 1
     r = d - j % d
-    return prefix[: len(prefix) - j], period[r:] + period[:r]
+    return prefix[: m - j], period[r:] + period[:r]
 
 
 def normalize(h: EpVector) -> EpVector:
@@ -275,14 +287,19 @@ def drift(h: EpVector, p: int) -> GroupElem:
     For p a multiple of lcm(|L|, |R|) this is what the running sum
     S(t) = sum_{j=1..t} (h_{-j} - h_j) gains over any p indexes past both
     prefixes: S(t + p) - S(t).  Each factor's residue is summed, scaled and
-    reduced on plain ints, and one element is built from the results.
+    reduced on plain ints, and one element is built from the results; over
+    a one-factor group the codes are summed as they are.
     """
     a, b = p // len(h.lper), p // len(h.rper)
+    group = h.group
+    if len(group.moduli) == 1:  # a code is its residue (`FinAbGroup.residue_columns`)
+        (n,) = group.moduli
+        return GroupElem(group, ((a * sum(h.lper) - b * sum(h.rper)) % n,))
     return GroupElem(
-        h.group,
+        group,
         tuple([
             (a * sum([col[c] for c in h.lper]) - b * sum([col[c] for c in h.rper])) % n
-            for col, n in zip(h.group.residue_columns, h.group.moduli)
+            for col, n in zip(group.residue_columns, group.moduli)
         ]),
     )
 
@@ -320,9 +337,15 @@ def apply_aut(phi: Automorphism, h: EpVector) -> EpVector:
     normal form is a normal form; and phi maps G onto G, so the image
     generates G exactly when h does.
     """
-    table = phi.codes
-    return EpVector._from_normal_codes(
-        h.group, *(tuple([table[c] for c in word]) for word in h.key()), h._gen
+    image = phi.codes.__getitem__
+    return _build(
+        EpVector,
+        h.group,
+        tuple(map(image, h.rpre)),
+        tuple(map(image, h.rper)),
+        tuple(map(image, h.lpre)),
+        tuple(map(image, h.lper)),
+        h._gen,
     )
 
 
@@ -332,7 +355,7 @@ class VectorClass(EpVector):
 
     __slots__ = ()
 
-    def __init__(self, *args) -> None:
+    def __new__(cls, *args):
         raise TypeError("a VectorClass is made only by canonical_class")
 
     @property
@@ -373,18 +396,25 @@ def canonical_class(h: EpVector) -> VectorClass:
     """
     if h._gen is not True:
         require_generating(h)
-    node = h.group.refinement_tree
-    for c in h.letter_codes():
+    group, rpre, rper, lpre, lper = h.group, h.rpre, h.rper, h.lpre, h.lper
+    node = group.refinement_tree
+    for c in rpre + rper + lpre + lper:
         if node.table is not None:
             break
         node = node[c]
     if node.fixes:
         if type(h) is VectorClass:
             return h
-        return VectorClass._from_normal_codes(h.group, *h.key(), h._gen)
-    table = node.survivors[0].codes
-    return VectorClass._from_normal_codes(
-        h.group, *[tuple([table[c] for c in word]) for word in h.key()], h._gen
+        return _build(VectorClass, group, rpre, rper, lpre, lper, h._gen)
+    image = node.survivors[0].codes.__getitem__
+    return _build(
+        VectorClass,
+        group,
+        tuple(map(image, rpre)),
+        tuple(map(image, rper)),
+        tuple(map(image, lpre)),
+        tuple(map(image, lper)),
+        h._gen,
     )
 
 

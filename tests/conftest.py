@@ -361,6 +361,25 @@ def oracle_word_entry(words: tuple[tuple, ...], k: int) -> GroupElem:
     return (prefix + period * abs(k))[abs(k) - 1]
 
 
+def oracle_normal_side(prefix: tuple, period: tuple) -> tuple[tuple, tuple]:
+    """The shortest prefix and primitive period spelling the side word
+    prefix + period + period + ..., by brute force.
+
+    Every (prefix length a, period length d) pair with a <= len(prefix) and
+    d <= len(period) is tried over a window of the word, a ascending and then
+    d, and the first pair under which every window entry from a on repeats
+    d entries later is returned.  The window runs four periods past the
+    prefix, so by Fine and Wilf's theorem a pair that holds on it holds on
+    the whole word.
+    """
+    window = prefix + period * 4
+    for a in range(len(prefix) + 1):
+        for d in range(1, len(period) + 1):
+            if window[a : len(window) - d] == window[a + d :]:
+                return window[:a], window[a : a + d]
+    raise AssertionError("the given spelling itself always holds")
+
+
 def weak_entry(bits: tuple[int, ...], j: int) -> int:
     """Entry j (any integer) of the weakly n-periodic Z2 extension of bits."""
     n = len(bits)

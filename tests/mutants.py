@@ -219,9 +219,23 @@ MUTANTS = (
     Mutant(
         "normal side does not rotate its period",
         "vectors.py",
-        "    return prefix[: len(prefix) - j], period[r:] + period[:r]\n",
-        "    return prefix[: len(prefix) - j], period\n",
+        "    return prefix[: m - j], period[r:] + period[:r]\n",
+        "    return prefix[: m - j], period\n",
         ("tests/test_vectors.py::test_normalize_idempotent_and_entry_preserving",),
+    ),
+    Mutant(
+        "primitive period compared at the wrong shift",
+        "vectors.py",
+        "period[d:] != period[:-d]",
+        "period[d + 1 :] != period[: -d - 1]",
+        ("tests/test_vectors.py::test_normal_side_matches_brute_force_oracle",),
+    ),
+    Mutant(
+        "non-identity canonical image leaves one word unmapped",
+        "vectors.py",
+        "        tuple(map(image, lper)),\n",
+        "        lper,\n",
+        ("tests/test_vectors.py::test_canonical_class_matches_brute_force_oracle",),
     ),
     Mutant(
         "refinement keeps the greatest image",

@@ -94,6 +94,21 @@ def test_order_of_matches_repeated_addition():
             assert a.order() == t
 
 
+def test_scale_matches_repeated_addition():
+    # k a is a added k times for k >= 0, and for k < 0 the element that
+    # added to |k| a gives zero; `scale` is checked against `+` alone.
+    for g in GROUPS:
+        for a in g.elements():
+            multiples = [g.zero()]
+            for _ in range(6):
+                multiples.append(multiples[-1] + a)
+            for k in range(-6, 7):
+                if k >= 0:
+                    assert a.scale(k) == multiples[k]
+                else:
+                    assert (a.scale(k) + multiples[-k]).is_zero()
+
+
 @given(st.data())
 def test_group_axioms(data):
     g = data.draw(st.sampled_from(GROUPS))

@@ -28,11 +28,12 @@ from chamcovers import (
 )
 from chamcovers.action import _reflect
 from chamcovers.groups import element_index
-from chamcovers.vectors import drift, side_codes, window
+from chamcovers.vectors import _normal_side, drift, side_codes, window
 from conftest import (
     element_words,
     oracle_canonical_class,
     oracle_format_vector,
+    oracle_normal_side,
     oracle_span_order,
     oracle_word_entry,
     public_copy,
@@ -181,6 +182,38 @@ def test_normalize_idempotent_and_entry_preserving():
             roots = (period[:d] for d in range(1, n) if n % d == 0)
             assert all(period != root * (n // len(root)) for root in roots)
             assert not prefix or prefix[-1] != period[-1]
+
+
+def seeded_side(rng: random.Random) -> tuple[tuple, tuple]:
+    """A side's words over codes 0-2: a period that is often a proper power
+    of a rotated root, and a prefix that often ends in a suffix of the
+    period's repetition, which the normal form pulls into the period."""
+    root = tuple(rng.randrange(3) for _ in range(rng.randint(1, 3)))
+    turn = rng.randrange(len(root))
+    period = (root[turn:] + root[:turn]) * rng.randint(1, 3)
+    head = tuple(rng.randrange(3) for _ in range(rng.randint(0, 3)))
+    pulled = rng.randint(0, 2 * len(period))
+    return head + (period * 2)[2 * len(period) - pulled :], period
+
+
+def test_normal_side_matches_brute_force_oracle():
+    rng = random.Random(31)
+    powers = pulls = 0
+    previous = seeded_side(rng)
+    for _ in range(20_000):
+        prefix, period = seeded_side(rng)
+        assert _normal_side(prefix, period) == oracle_normal_side(prefix, period)
+        powers += len(oracle_normal_side((), period)[1]) < len(period)
+        pulls += len(oracle_normal_side(prefix, period)[0]) < len(prefix)
+        # The stored vector spells the entries of the words it was given.
+        words = (prefix, period, *previous)
+        h = EpVector._from_codes(Z3, *words)
+        reach = len(prefix) + len(previous[0]) + 2 * len(period) + 2 * len(previous[1])
+        for k in range(1, reach + 1):
+            assert h.code(k) == oracle_word_entry(words, k)
+            assert h.code(-k) == oracle_word_entry(words, -k)
+        previous = prefix, period
+    assert powers > 5_000 and pulls > 5_000
 
 
 def test_spellings_of_one_vector_compare_and_hash_equal():
