@@ -151,8 +151,8 @@ def simplify_word(letters) -> Word:
 _WORD_TOKEN_RE = re.compile(r"(P1|P2|-I|H)(?:\^(-?[0-9]+))?")
 
 # Largest total |exponent| of a parsed word (after merging adjacent runs).
-# P1^k runs as k letter steps and H^k reads side columns of about 2k entries, so
-# a longer word asks for unbounded work and is refused.
+# P^k runs at most min(|k|, e/2) letters over a group of exponent e, and H^k
+# reads side columns of about 2k entries, so a longer word is refused.
 MAX_WORD_EXPONENT = 10_000
 
 # Largest side_len of `_frame`: where a letter reads S, both output sides take
@@ -516,9 +516,15 @@ def act_word(h: EpVector, w: Word) -> EpVector:
         if ltr is GeneratorLetter.H:
             h = act_h_pow(h, exp)
             continue
+        # P^e = I over a group of exponent e (module docstring): k = exp mod e
+        # runs as k letters, or as e - k inverse letters when that is fewer.
+        e = h.group.exponent
+        k = exp % e
+        if 2 * k > e:
+            k -= e
         fwd = act_p1 if ltr is GeneratorLetter.P1 else act_p2
         bwd = act_p1_inv if ltr is GeneratorLetter.P1 else act_p2_inv
-        step = fwd if exp > 0 else bwd
-        for _ in range(abs(exp)):
+        step = fwd if k > 0 else bwd
+        for _ in range(abs(k)):
             h = step(h)
     return h

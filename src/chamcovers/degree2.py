@@ -30,8 +30,8 @@ orbit of the two involutions is a path with a loop (a member that P1 or P2
 fixes) at each end, a Striezel, or a cycle whose edges alternate between
 them, a Kranz.  T moves a member two steps along it, turning at a loop, so
 it cycles all k members of a path (k = n) and splits a cycle of 2k members
-into two T-orbits of k (k = n).  `test_striezel_orbits_have_size_n` checks
-the law for n <= 16.
+into two T-orbits of k (k = n).  The tests check the law for every n up to
+the enumeration bound.
 
 The census walks U = P2 o P1 (P1 first), which is T^-1 and has T's orbits.
 P1 sends h_k to h_{n-k} + h_n for k < n and keeps h_n; P2 sends h_k to
@@ -63,13 +63,20 @@ from .vectors import EpVector, code_window
 
 _Z2 = parse_group("Z2")
 
+# Largest n of `wn_bits`, `orbit_census`, `p1_bits` and `p2_bits`.
 DEFAULT_ENUM_BOUND = 20
-DEFAULT_CENSUS_BOUND = 16
 # Largest n `count_closed_forms` accepts (its counts have about 0.3 n digits),
 # and largest r - 1 `realize_rank` accepts (its vector has about 4 r entries).
 MAX_COUNTS_N = 10_000
-# _REV[b] is the byte b with its eight bits in reverse order.
-_REV = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+# _REV[b] is the ten-bit b reversed; two lookups reverse p1_bits' <= 19 bits.
+_REV = tuple(int(f"{b:010b}"[::-1], 2) for b in range(1024))
+
+
+def _check_n(n: int) -> None:
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    if n > DEFAULT_ENUM_BOUND:
+        raise ValueError(f"n={n} exceeds the enumeration bound {DEFAULT_ENUM_BOUND}")
 
 
 def _bits(code: int) -> tuple[int, ...]:
@@ -132,10 +139,7 @@ def is_weakly_n_periodic(h: EpVector, n: int) -> bool:
 def wn_bits(n: int, star: bool) -> Iterator[int]:
     """The codes of W_n, or of W_n* when `star`, lazily in increasing order
     (the lexicographic order of the bit tuples)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > DEFAULT_ENUM_BOUND:
-        raise ValueError(f"n={n} exceeds the enumeration bound {DEFAULT_ENUM_BOUND}")
+    _check_n(n)
     codes = range(1 << n, 2 << n)
     if star:
         return itertools.filterfalse(_outside_star(n).__contains__, codes)
@@ -158,8 +162,6 @@ def _outside_star(n: int) -> set[int]:
     complemented when h_m is 1.  There are 2^m extensions per divisor m, the
     zero tuple among them.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
     outside = {1 << n}
     for m in range(1, n):
         if n % m == 0:
@@ -194,14 +196,13 @@ def p1_bits(code: int) -> int:
     Over Z2 the 2*S term of P1's formula vanishes, so h'_k = h_{-k}, and
     weak n-periodicity gives h_{-k} = h_{n-k} + h_n (so h'_n = h_n).  The
     reversed field is the m = n - 1 bits above bit 0, read through two
-    lookups in the byte table, so n is at most 17 (ValueError beyond it).
+    lookups in the ten-bit table, so n is at most 20 (ValueError beyond it).
     """
     m = code.bit_length() - 2
+    if m >= DEFAULT_ENUM_BOUND:
+        _check_n(m + 1)
     v = code >> 1 & (1 << m) - 1
-    try:
-        r = (_REV[v & 255] << 8 | _REV[v >> 8]) >> 16 - m
-    except (IndexError, ValueError):
-        raise ValueError(f"p1_bits takes codes of n <= 17, got n = {m + 1}") from None
+    r = (_REV[v & 1023] << 10 | _REV[v >> 10]) >> 20 - m
     if code & 1:
         r ^= (1 << m) - 1
     return (1 << m | r) << 1 | code & 1
@@ -212,21 +213,12 @@ def p2_bits(code: int) -> int:
 
     That is P2's formula over Z2, where its 2x terms vanish.  Put
     h_{-j} = h_{n-j} + h_n: the h_n terms cancel for k < n - 1, and
-    h'_{n-1} = h_{n-1}, h'_n = h_n.  So h_1..h_{n-2}, the m = n - 2 bits
-    above bit 1, are reversed and sheared by h_{n-1}, as in `p1_bits`, so
-    n is at most 18.  At n = 1 the move is the identity.
+    h'_{n-1} = h_{n-1}, h'_n = h_n.  So P2 is P1 on the n - 1 bits above
+    bit 0, with h_n kept; n is at most 20, and at n = 1 P2 is the identity.
     """
-    m = code.bit_length() - 3
-    if m < 0:
-        return code
-    v = code >> 2 & (1 << m) - 1
-    try:
-        r = (_REV[v & 255] << 8 | _REV[v >> 8]) >> 16 - m
-    except (IndexError, ValueError):
-        raise ValueError(f"p2_bits takes codes of n <= 18, got n = {m + 2}") from None
-    if code & 2:
-        r ^= (1 << m) - 1
-    return (1 << m | r) << 2 | code & 3
+    n = code.bit_length() - 1
+    _check_n(n)
+    return p1_bits(code >> 1) << 1 | code & 1 if n > 1 else code
 
 
 def _u_orbit(start: int, n: int) -> list[int]:
@@ -300,8 +292,7 @@ def orbit_census(n: int) -> dict:
     W_n* is move-invariant, so a walk that meets a placed code, or one code
     twice, is a fault (RuntimeError).
     """
-    if n > DEFAULT_CENSUS_BOUND:
-        raise ValueError(f"n={n} exceeds the census bound {DEFAULT_CENSUS_BOUND}")
+    _check_n(n)
     outside = _outside_star(n)
     wn_star = 2**n - len(outside)
     # placed[code] is 1 for the codes outside W_n* and in the orbits so far.

@@ -61,10 +61,10 @@ MUTANTS = (
         ("tests/test_degree2.py::test_enumerate_wn_star_small",),
     ),
     Mutant(
-        "P2 shears by h_n instead of h_{n-1}",
+        "P2 is P1 two bits down instead of one",
         "degree2.py",
-        "    if code & 2:\n",
-        "    if code & 1:\n",
+        "p1_bits(code >> 1) << 1",
+        "p1_bits(code >> 2) << 1",
         ("tests/test_degree2.py::test_bit_moves_match_extension_oracle",),
     ),
     Mutant(
@@ -157,6 +157,13 @@ MUTANTS = (
         "    if h.group.exponent == 2:\n        return involution(h)\n",
         "    if h.group.exponent % 2 == 0:\n        return involution(h)\n",
         ("tests/test_orbit.py::test_orbit_bfs_matches_oracle_search_over_product_groups",),
+    ),
+    Mutant(
+        "P exponent reduced mod e + 1",
+        "action.py",
+        "        k = exp % e\n",
+        "        k = exp % (e + 1)\n",
+        ("tests/test_action.py::test_p_powers_match_repeated_letters",),
     ),
     Mutant(
         "codes read as residues over every group",

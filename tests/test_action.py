@@ -552,6 +552,27 @@ def test_p_letters_raised_to_the_group_exponent_are_the_identity():
                 assert out == h, (spec, act.__name__, format_vector(h))
 
 
+def test_p_powers_match_repeated_letters():
+    # act_word runs P^k as k mod e letters, or as e - (k mod e) inverse
+    # letters when that is fewer; either way it must equal k letters.
+    rng = random.Random(3232)
+    for spec in ("Z2xZ2", "Z3", "Z4", "Z5", "Z12", "Z2xZ4"):
+        group = parse_group(spec)
+        for _ in range(6):
+            h = random_vector(group, rng)
+            for ltr, fwd, bwd in (
+                (GeneratorLetter.P1, act_p1, act_p1_inv),
+                (GeneratorLetter.P2, act_p2, act_p2_inv),
+            ):
+                powers = {0: h}
+                for k in range(1, 8):
+                    powers[k] = fwd(powers[k - 1])
+                    powers[-k] = bwd(powers[1 - k])
+                for k, expected in powers.items():
+                    word = Word(((ltr, k),))
+                    assert act_word(h, word) == expected, (spec, ltr, k, format_vector(h))
+
+
 def test_p_letters_over_exponent_two_groups_are_involutions():
     # Where 2x = 0 every doubled term vanishes: P1 = P1^-1 = R and P2 = P2^-1.
     # R h is built from the swapped element words by the public constructor.

@@ -478,7 +478,8 @@ def test_wn_builds_no_member_objects(star, monkeypatch, capsys):
     assert len(built) == 3
 
 
-@pytest.mark.parametrize("star", [[], ["--star"]])
+# The JSON form of --star runs the census, which shares the listing's bounds.
+@pytest.mark.parametrize("star", [[], ["--star"], ["--star", "--format", "json"]])
 @pytest.mark.parametrize(
     "n, message",
     [("0", "n must be >= 1"), ("21", "n=21 exceeds the enumeration bound 20")],

@@ -181,22 +181,22 @@ def test_bit_moves_match_extension_oracle():
             assert bits_of(p2_bits(code)) == oracle_p2_bits(bits)
 
 
-def test_bit_moves_raise_beyond_seventeen_bits():
-    # The reversal reads two bytes of its table, enough for 16 reversed bits:
-    # P1 still matches the oracle at n = 17 and P2 at n = 18, one past that
-    # each names its bound.
-    rng = random.Random(17)
-    for n, move, oracle in ((17, p1_bits, oracle_p1_bits), (18, p2_bits, oracle_p2_bits)):
-        edges = [(1,) * n, (0,) * (n - 1) + (1,), (1,) + (0,) * (n - 1)]
-        for bits in edges + [tuple(rng.choices((0, 1), k=n)) for _ in range(200)]:
-            assert move(code_of(bits)) == code_of(oracle(bits))
-    for n in (18, 19, 20, 25):
+def test_bit_moves_match_oracle_up_to_the_enumeration_bound():
+    # P1 reads two ten-bit entries of its reversal table and P2 is P1 one
+    # bit down, so both match the oracle up to n = 20; past it they name the
+    # bound of every degree-two enumeration.
+    rng = random.Random(20)
+    for n in range(13, 21):
+        edges = [(1,) * n, (0,) * (n - 1) + (1,), (1,) + (0,) * (n - 1), (0,) * n]
+        for bits in edges + [tuple(rng.choices((0, 1), k=n)) for _ in range(100)]:
+            code = code_of(bits)
+            assert p1_bits(code) == code_of(oracle_p1_bits(bits))
+            assert p2_bits(code) == code_of(oracle_p2_bits(bits))
+    for n in (21, 25):
         for code in ((1 << n) | 1, (1 << n) | 2, (2 << n) - 1):
-            with pytest.raises(ValueError, match=rf"^p1_bits .* n <= 17, got n = {n}$"):
-                p1_bits(code)
-            if n > 18:
-                with pytest.raises(ValueError, match=rf"^p2_bits .* n <= 18, got n = {n}$"):
-                    p2_bits(code)
+            for move in (p1_bits, p2_bits):
+                with pytest.raises(ValueError, match=rf"^n={n} exceeds the enumeration bound 20$"):
+                    move(code)
 
 
 def test_census_matches_oracle_census():
@@ -256,8 +256,8 @@ def test_u_is_p2_after_p1_on_every_code():
 
 
 def test_u_orbit_matches_composed_oracle_past_the_table_bounds():
-    # From n = 17 on, p1_bits and p2_bits refuse their codes; U has no
-    # bound, and each step must be the extension oracle's P1 then P2.
+    # U has no bound, where p1_bits and p2_bits refuse codes past n = 20;
+    # each step must be the extension oracle's P1 then P2.
     rng = random.Random(1724)
     for n in range(17, 25):
         edges = [(1,) * n, (0,) * (n - 1) + (1,), (1,) + (0,) * (n - 1)]
@@ -337,12 +337,28 @@ def test_census_and_star_family_refuse_out_of_range_n():
     for n in (0, -3):
         with pytest.raises(ValueError, match=r"^n must be >= 1$"):
             orbit_census(n)
-    with pytest.raises(ValueError, match=r"^n=17 exceeds the census bound 16$"):
-        orbit_census(17)
+    with pytest.raises(ValueError, match=r"^n=21 exceeds the enumeration bound 20$"):
+        orbit_census(21)
     with pytest.raises(ValueError, match=r"^n must be >= 1$"):
         enumerate_wn_star(0)
     with pytest.raises(ValueError, match=r"^n=21 exceeds the enumeration bound 20$"):
         enumerate_wn_star(21)
+
+
+def test_census_beyond_sixteen_matches_closed_form_and_search():
+    # Past the pinned digests: the orbits partition W_n*, keep the shape law,
+    # and the least orbit of each shape has the size the general search finds.
+    for n in range(17, 21):
+        census = orbit_census(n)
+        orbits = census["orbits"]
+        assert sum(o["size"] for o in orbits) == census["wn_star"]
+        assert census["wn_star"] == count_closed_forms(n)["wn_star"]
+        for o in orbits:
+            assert o["size"] == (n if o["type"] == "Striezel" else 2 * n)
+        for shape in ("Striezel", "Kranz"):
+            least = next(o for o in orbits if o["type"] == shape)
+            bits = tuple(int(ch) for ch in least["members"][0])
+            assert orbit_bfs(expand(WnElement(n, bits))).order == least["size"]
 
 
 def test_bit_actions_match_vector_actions():
