@@ -107,12 +107,11 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from operator import sub
 
-from .groups import negation
+from .groups import Record, negation
 from .vectors import EpVector, apply_aut, drift, side_codes
 
 
@@ -127,11 +126,13 @@ class GeneratorLetter(enum.Enum):
     H = "H"
 
 
-@dataclass(frozen=True)
-class Word:
+class Word(Record):
     """A product of letters with nonzero integer exponents, leftmost acts last."""
 
-    letters: tuple[tuple[GeneratorLetter, int], ...]
+    __slots__ = _fields = ("letters",)
+
+    def __init__(self, letters: tuple[tuple[GeneratorLetter, int], ...]) -> None:
+        self._store(letters)
 
     def inverse(self) -> "Word":
         return Word(tuple((ltr, -exp) for ltr, exp in reversed(self.letters)))
@@ -199,14 +200,13 @@ def format_word(w: Word) -> str:
     return ",".join(parts)
 
 
-@dataclass(frozen=True)
-class Mat2Q:
+class Mat2Q(Record):
     """A 2x2 matrix over exact rationals."""
 
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
+    __slots__ = _fields = ("a", "b", "c", "d")
+
+    def __init__(self, a: Fraction, b: Fraction, c: Fraction, d: Fraction) -> None:
+        self._store(a, b, c, d)
 
     def __matmul__(self, other: "Mat2Q") -> "Mat2Q":
         return Mat2Q(

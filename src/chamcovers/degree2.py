@@ -55,10 +55,9 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .groups import parse_group
+from .groups import Record, parse_group
 from .vectors import EpVector, code_window
 
 _Z2 = parse_group("Z2")
@@ -68,8 +67,20 @@ DEFAULT_ENUM_BOUND = 20
 # Largest n `count_closed_forms` accepts (its counts have about 0.3 n digits),
 # and largest r - 1 `realize_rank` accepts (its vector has about 4 r entries).
 MAX_COUNTS_N = 10_000
+
+
+def _reversals(width: int) -> tuple[int, ...]:
+    """t[b] is the width-bit b reversed, built by doubling: a k + 1 bit
+    number with leading bit c reverses to its other k bits reversed, shifted
+    up one, with c as the last bit."""
+    t = [0]
+    for _ in range(width):
+        t = [r << 1 for r in t] + [r << 1 | 1 for r in t]
+    return tuple(t)
+
+
 # _REV[b] is the ten-bit b reversed; two lookups reverse p1_bits' <= 19 bits.
-_REV = tuple(int(f"{b:010b}"[::-1], 2) for b in range(1024))
+_REV = _reversals(10)
 
 
 def _check_n(n: int) -> None:
@@ -83,20 +94,19 @@ def _bits(code: int) -> tuple[int, ...]:
     return tuple(map(int, f"{code:b}"[1:]))
 
 
-@dataclass(frozen=True)
-class WnElement:
+class WnElement(Record):
     """A weakly n-periodic degree-two cover, keyed by bits (h_1, ..., h_n)."""
 
-    n: int
-    bits: tuple[int, ...]
+    __slots__ = _fields = ("n", "bits")
 
-    def __post_init__(self) -> None:
-        if self.n < 1 or len(self.bits) != self.n:
+    def __init__(self, n: int, bits: tuple[int, ...]) -> None:
+        if n < 1 or len(bits) != n:
             raise ValueError("bits must have length n >= 1")
-        if any(b not in (0, 1) for b in self.bits):
+        if any(b not in (0, 1) for b in bits):
             raise ValueError("bits must be 0 or 1")
-        if not any(self.bits):
+        if not any(bits):
             raise ValueError("the zero tuple does not generate the group")
+        self._store(n, bits)
 
     def bitstring(self) -> str:
         return "".join(map(str, self.bits))

@@ -15,14 +15,13 @@ are m-periodic in their index, so the walk covers one period, not the window
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .action import act_h_pow
+from .groups import Record
 from .vectors import EpVector, _one_sided_period
 
 
-@dataclass(frozen=True)
-class IndexVerdict:
+class IndexVerdict(Record):
     """Outcome of the finite-index decision.
 
     minimal_period is the minimal simultaneous one-sided period (present
@@ -31,9 +30,12 @@ class IndexVerdict:
     witness, the first failed requirement, is None on finite verdicts.
     """
 
-    minimal_period: int | None
-    checked_window: int
-    witness: str | None
+    __slots__ = _fields = ("minimal_period", "checked_window", "witness")
+
+    def __init__(
+        self, minimal_period: int | None, checked_window: int, witness: str | None
+    ) -> None:
+        self._store(minimal_period, checked_window, witness)
 
     @property
     def finite(self) -> bool:

@@ -3,6 +3,9 @@
 A group is a product Z_{n_1} x ... x Z_{n_r} with every n_i >= 2.  Elements
 are residue tuples; there is no canonicalization across presentations, so
 Z2xZ3 and Z6 are distinct artifacts even though they are isomorphic.
+
+The package's immutable records derive from `Record`, written by hand
+rather than generated, so importing the package generates no code.
 """
 
 from __future__ import annotations
@@ -10,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from functools import cache, cached_property
 
 
@@ -28,18 +30,76 @@ _GROUP_SPEC_RE = re.compile(r"Z[0-9]+(?:xZ[0-9]+)*")
 # lcm(m, |G|) entries long and `span` closes over all of G.
 MAX_GROUP_ORDER = 10_000
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
-class FinAbGroup:
-    """A finite abelian group presented as a product of cyclic factors."""
 
-    moduli: tuple[int, ...]
+class Record:
+    """An immutable record: the values of the fields named in `_fields`.
 
-    def __post_init__(self) -> None:
-        if not self.moduli:
+    A subclass's `__init__` stores each field once, past the refusing
+    `__setattr__`.  Two records are equal when they are of one class and
+    their field tuples are equal, and a record hashes as its field tuple;
+    `repr` reads ``Name(field=value, ...)``, and pickling and deep copies
+    rebuild a record from its fields.  FinAbGroup and GroupElem spell out
+    `__eq__` and `__hash__`, and the records built on hot paths store their
+    fields directly, as the generic loops cost more per call.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _store(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # The fields alone: tables a record keeps are rebuilt on demand.
+        return type(self), self._values()
+
+
+class FinAbGroup(Record):
+    """A finite abelian group presented as a product of cyclic factors.
+
+    It keeps a `__dict__`, where its `cached_property` tables live.
+    """
+
+    _fields = ("moduli",)
+
+    def __init__(self, moduli: tuple[int, ...]) -> None:
+        if not moduli:
             raise GroupParseError("a group needs at least one cyclic factor")
-        if any(not isinstance(n, int) or n < 2 for n in self.moduli):
-            raise GroupParseError(f"factor moduli must be integers >= 2: {self.moduli}")
+        if any(not isinstance(n, int) or n < 2 for n in moduli):
+            raise GroupParseError(f"factor moduli must be integers >= 2: {moduli}")
+        _set(self, "moduli", moduli)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.moduli == other.moduli
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.moduli,))
 
     @property
     def order(self) -> int:
@@ -82,10 +142,6 @@ class FinAbGroup:
         reads it as an attribute, without hashing the group."""
         return Refinement(automorphisms(self), True)
 
-    def __reduce__(self):
-        # The tables kept on the object are rebuilt on demand, not pickled.
-        return type(self), (self.moduli,)
-
     def spec(self) -> str:
         return "x".join(f"Z{n}" for n in self.moduli)
 
@@ -121,8 +177,7 @@ class FinAbGroup:
         return self.spec()
 
 
-@dataclass(frozen=True)
-class GroupElem:
+class GroupElem(Record):
     """An element of a FinAbGroup, stored as a reduced residue tuple.
 
     Arithmetic always produces reduced residues, so validation lives in the
@@ -130,8 +185,19 @@ class GroupElem:
     cheap on hot paths.
     """
 
-    group: FinAbGroup
-    residues: tuple[int, ...]
+    __slots__ = _fields = ("group", "residues")
+
+    def __init__(self, group: FinAbGroup, residues: tuple[int, ...]) -> None:
+        _put_elem_group(self, group)
+        _put_elem_residues(self, residues)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.group, self.residues) == (other.group, other.residues)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.group, self.residues))
 
     def __add__(self, other: "GroupElem") -> "GroupElem":
         self._check_same_group(other)
@@ -176,6 +242,13 @@ class GroupElem:
         return ":".join(str(a) for a in self.residues)
 
 
+# The slots' own setters: they store a field past the refusing __setattr__,
+# and cost less than object.__setattr__, which looks the field up by name.
+_put_elem_group, _put_elem_residues = [
+    GroupElem.__dict__[name].__set__ for name in GroupElem.__slots__
+]
+
+
 def parse_group(spec: str) -> FinAbGroup:
     """Parse a spec like "Z2" or "Z2xZ4"; whitespace is not allowed."""
     if not _GROUP_SPEC_RE.fullmatch(spec):
@@ -216,12 +289,13 @@ def parse_elem(group: FinAbGroup, text: str) -> GroupElem:
     return GroupElem(group, tuple(residues))
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Record):
     """A subgroup given by its full element set."""
 
-    group: FinAbGroup
-    elements: frozenset[GroupElem]
+    __slots__ = _fields = ("group", "elements")
+
+    def __init__(self, group: FinAbGroup, elements: frozenset[GroupElem]) -> None:
+        self._store(group, elements)
 
     @property
     def order(self) -> int:
@@ -273,8 +347,7 @@ def element_labels(group: FinAbGroup) -> tuple[str, ...]:
     return tuple([str(e) for e in element_index(group)[0]])
 
 
-@dataclass(frozen=True, slots=True)
-class Automorphism:
+class Automorphism(Record):
     """An additive bijection of a FinAbGroup, tabulated for fast application.
 
     codes[c] is the code (see `element_index`) of the image of the element
@@ -282,8 +355,11 @@ class Automorphism:
     that table.  Built by `automorphisms` and `negation`.
     """
 
-    group: FinAbGroup
-    codes: tuple[int, ...]
+    __slots__ = _fields = ("group", "codes")
+
+    def __init__(self, group: FinAbGroup, codes: tuple[int, ...]) -> None:
+        _set(self, "group", group)
+        _set(self, "codes", codes)
 
     @property
     def images(self) -> tuple[GroupElem, ...]:
@@ -373,12 +449,14 @@ def automorphisms(group: FinAbGroup) -> tuple[Automorphism, ...]:
     Groups of order above MAX_AUT_GROUP_ORDER, or with more than MAX_AUTOMORPHISMS
     automorphisms (counted in closed form first), are refused with
     AutomorphismBoundError.  The search sends factor generator i to each
-    element x of the same exact order n_i in turn.  At depth i it holds the
-    images of the elements of the first i factors, in code order; choosing x
-    extends that list by r * x for r < n_i, and x is kept only if the
-    extended list has no repeats, i.e. the partial map stays injective.  At
-    a leaf the list is the automorphism's code table.  The tuple is computed
-    once per group; a refusal raises afresh each time.
+    element x of the same exact order n_i in turn, in code order.  At depth
+    i it holds the codes of the images of the elements of the first i
+    factors, in code order; choosing x extends that list by r * x for
+    r < n_i, and x is kept only if the extended list has no repeats, i.e.
+    the partial map stays injective.  At a leaf the list is the
+    automorphism's code table.  The search runs on codes alone: sums and
+    the multiples r * x are read from one |G| x |G| addition table.  The
+    tuple is computed once per group; a refusal raises afresh each time.
     """
     if group.order > MAX_AUT_GROUP_ORDER:
         raise AutomorphismBoundError(
@@ -392,26 +470,40 @@ def automorphisms(group: FinAbGroup) -> tuple[Automorphism, ...]:
             f"more than the bound {MAX_AUTOMORPHISMS}"
         )
     moduli = group.moduli
-    elems, index = element_index(group)
-    candidates = [[x for x in elems if x.order() == n] for n in moduli]
+    elems, _ = element_index(group)
+    # add[x][y] is the code of x + y: per factor, the residues of y shifted
+    # by x's residue, weighted as in the code (see `residue_columns`).
+    weights = [math.prod(moduli[i + 1 :]) for i in range(len(moduli))]
+    add = []
+    for x in elems:
+        row = [0]
+        for r, n, w in zip(x.residues, moduli, weights):
+            shifted = [(r + a) % n * w for a in range(n)]
+            row = [c + d for c in row for d in shifted]
+        add.append(row)
+    # For each factor, the multiples 0, x, 2x, ... of every candidate x.
+    candidates = []
+    for n in moduli:
+        images = []
+        for x, elem in enumerate(elems):
+            if elem.order() == n:
+                multiples = [0]
+                for _ in range(n - 1):
+                    multiples.append(add[multiples[-1]][x])
+                images.append(multiples)
+        candidates.append(images)
     found: list[Automorphism] = []
 
     def rec(i: int, table: list) -> None:
         if i == len(moduli):
-            codes = tuple([index[b] for b in table])
-            found.append(Automorphism(group, codes))
+            found.append(Automorphism(group, tuple(table)))
             return
-        for x in candidates[i]:
-            grown = [
-                tuple([(a + r * b) % m for a, b, m in zip(acc, x.residues, moduli)])
-                for acc in table
-                for r in range(moduli[i])
-            ]
-            if len(set(grown)) < len(grown):
-                continue
-            rec(i + 1, grown)
+        for multiples in candidates[i]:
+            grown = [add[a][m] for a in table for m in multiples]
+            if len(set(grown)) == len(grown):
+                rec(i + 1, grown)
 
-    rec(0, [(0,) * len(moduli)])
+    rec(0, [0])
     return tuple(found)
 
 

@@ -10,7 +10,6 @@ vertices: hitting it is a verdict ("did not close within cap"), not an error.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from .action import (
     GeneratorLetter,
@@ -23,6 +22,7 @@ from .action import (
     simplify_word,
 )
 from .finite_index import IndexVerdict, decide_finite_index
+from .groups import Record
 from .vectors import EpVector, VectorClass, canonical_class, format_vector
 
 
@@ -32,18 +32,26 @@ class GraphType(enum.Enum):
     OTHER = "Other"
 
 
-@dataclass(frozen=True)
-class SchreierGraph:
+class SchreierGraph(Record):
     """A (possibly truncated) coset graph.
 
     p1_edges[i] / p2_edges[i] give the forward-move targets of vertex i, or
     None when a cap hit stopped the search before that move.
     """
 
-    vertices: tuple[VectorClass, ...]
-    p1_edges: tuple[int | None, ...]
-    p2_edges: tuple[int | None, ...]
-    complete: bool
+    __slots__ = _fields = ("vertices", "p1_edges", "p2_edges", "complete")
+
+    def __init__(
+        self,
+        vertices: tuple[VectorClass, ...],
+        p1_edges: tuple[int | None, ...],
+        p2_edges: tuple[int | None, ...],
+        complete: bool,
+    ) -> None:
+        _put_vertices(self, vertices)
+        _put_p1_edges(self, p1_edges)
+        _put_p2_edges(self, p2_edges)
+        _put_complete(self, complete)
 
     @property
     def cap_hit(self) -> bool:
@@ -52,6 +60,12 @@ class SchreierGraph:
     @property
     def order(self) -> int:
         return len(self.vertices)
+
+
+# The slots' own setters, as for `groups.GroupElem`.
+_put_vertices, _put_p1_edges, _put_p2_edges, _put_complete = [
+    SchreierGraph.__dict__[name].__set__ for name in SchreierGraph.__slots__
+]
 
 
 # The default vertex cap of `orbit_bfs` and of `chamcovers orbit --cap`.

@@ -10,9 +10,8 @@ one-ended and two-ended homeomorphism types.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
-from .groups import FinAbGroup, GroupElem, Subgroup, span
+from .groups import FinAbGroup, GroupElem, Record, Subgroup, span
 from .vectors import EpVector, from_entries, require_generating, window
 
 
@@ -21,16 +20,23 @@ class SurfaceKind(enum.Enum):
     JACOBS_LADDER = "JacobsLadder"
 
 
-@dataclass(frozen=True)
-class EndsReport:
+class EndsReport(Record):
     """Accumulation data and the resulting end count for one vector."""
 
-    right_acc: frozenset[GroupElem]
-    left_acc: frozenset[GroupElem]
-    n_window: int
-    alt_sum: GroupElem
-    g_prime: Subgroup
-    d2_type: SurfaceKind | None
+    __slots__ = _fields = (
+        "right_acc", "left_acc", "n_window", "alt_sum", "g_prime", "d2_type"
+    )
+
+    def __init__(
+        self,
+        right_acc: frozenset[GroupElem],
+        left_acc: frozenset[GroupElem],
+        n_window: int,
+        alt_sum: GroupElem,
+        g_prime: Subgroup,
+        d2_type: SurfaceKind | None,
+    ) -> None:
+        self._store(right_acc, left_acc, n_window, alt_sum, g_prime, d2_type)
 
     @property
     def ends(self) -> int:

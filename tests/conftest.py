@@ -19,6 +19,7 @@ from chamcovers import (
     generates,
     normalize,
 )
+from chamcovers.groups import element_index
 
 
 # The vector s_sum last walked, and its partial sums S(0), S(1), ...
@@ -320,6 +321,36 @@ def oracle_span(group: FinAbGroup, gens) -> frozenset:
         frontier = {a + g for a in frontier for g in gens} - elems
         elems |= frontier
     return frozenset(elems)
+
+
+def oracle_automorphisms(group: FinAbGroup) -> list[tuple[int, ...]]:
+    """The code tables of Aut(G), enumerated on residue tuples.
+
+    Factor generator i goes to each element x of order n_i in turn, in
+    element order.  The images of the elements of the first i factors are
+    kept as residue tuples in code order; choosing x extends them by r * x
+    for r < n_i, and x is kept only while those images stay distinct.
+    """
+    moduli = group.moduli
+    elems, index = element_index(group)
+    candidates = [[x for x in elems if x.order() == n] for n in moduli]
+    found = []
+
+    def rec(i: int, table: list) -> None:
+        if i == len(moduli):
+            found.append(tuple([index[b] for b in table]))
+            return
+        for x in candidates[i]:
+            grown = [
+                tuple([(a + r * b) % m for a, b, m in zip(acc, x.residues, moduli)])
+                for acc in table
+                for r in range(moduli[i])
+            ]
+            if len(set(grown)) == len(grown):
+                rec(i + 1, grown)
+
+    rec(0, [(0,) * len(moduli)])
+    return found
 
 
 def oracle_span_order(group: FinAbGroup, gens) -> int:

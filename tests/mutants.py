@@ -9,6 +9,8 @@ must fail with the replacement in place.  The script first runs every named
 test on an unchanged copy of ``src/`` (they must pass there), then, for each
 mutant, applies it to a fresh temporary copy of ``src/`` and runs
 ``python -m pytest -q -x`` on its tests with that copy first on PYTHONPATH.
+The mutants run `WORKERS` at a time, each in its own copy, and their
+results print in `MUTANTS` order.
 A surviving mutant fails the run (exit status 1), and so does a snippet that
 is missing or occurs more than once: a refactor has to re-aim its mutants
 rather than drop them.  Give mutant names to run only those.
@@ -27,13 +29,17 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 # A mutant that makes its tests run this long counts as killed (they did not pass).
 TIMEOUT_S = 120
+# Mutants whose tests run at once, each in its own pytest process.
+WORKERS = 2
 
 
 @dataclass(frozen=True)
@@ -245,6 +251,13 @@ MUTANTS = (
         ("tests/test_vectors.py::test_canonical_class_matches_brute_force_oracle",),
     ),
     Mutant(
+        "multiples of a generator image start at the image, not at 0",
+        "groups.py",
+        "                multiples = [0]\n",
+        "                multiples = [x]\n",
+        ("tests/test_groups.py::test_automorphism_tables_match_residue_oracle_in_order",),
+    ),
+    Mutant(
         "refinement keeps the greatest image",
         "groups.py",
         "        least = min([phi.codes[c] for phi in self.survivors])\n",
@@ -315,6 +328,21 @@ def _copy(tmp: Path, mutant: Mutant | None) -> Path:
     return src
 
 
+def _outcome(tmp: Path, mutant: Mutant) -> tuple[str, bool]:
+    """The report line of one mutant, and whether it was killed."""
+    try:
+        src = _copy(tmp, mutant)
+    except ValueError as exc:
+        return f"STALE     {mutant.name}: {exc}", False
+    status, failed, seconds = _pytest(src, mutant.tests)
+    # Only failing tests kill a mutant (status 1, or a hang); a
+    # collection or usage error (2 to 5) says nothing about them.
+    if status in (1, None):
+        return f"killed    {mutant.name}  {seconds:.1f} s  {failed}", True
+    word = "SURVIVED" if status == 0 else "BROKEN  "
+    return f"{word}  {mutant.name}  (pytest exit status {status})", False
+
+
 def main(argv: list[str]) -> int:
     chosen = [m for m in MUTANTS if not argv or m.name in argv]
     unknown = set(argv) - {m.name for m in MUTANTS}
@@ -329,22 +357,10 @@ def main(argv: list[str]) -> int:
         if status != 0:
             print("the named tests must pass on the unchanged source", file=sys.stderr)
             return 1
-        for mutant in chosen:
-            try:
-                src = _copy(Path(tmp), mutant)
-            except ValueError as exc:
-                print(f"STALE     {mutant.name}: {exc}")
-                failures += 1
-                continue
-            status, failed, seconds = _pytest(src, mutant.tests)
-            # Only failing tests kill a mutant (status 1, or a hang); a
-            # collection or usage error (2 to 5) says nothing about them.
-            if status in (1, None):
-                print(f"killed    {mutant.name}  {seconds:.1f} s  {failed}")
-            else:
-                word = "SURVIVED" if status == 0 else "BROKEN  "
-                print(f"{word}  {mutant.name}  (pytest exit status {status})")
-                failures += 1
+        with ThreadPoolExecutor(max_workers=WORKERS) as pool:
+            for line, killed in pool.map(partial(_outcome, Path(tmp)), chosen):
+                print(line, flush=True)
+                failures += not killed
     print(f"{len(chosen) - failures} of {len(chosen)} mutants killed")
     return 1 if failures else 0
 

@@ -467,10 +467,13 @@ def test_wn_writes_each_member_as_its_code_arrives(fmt, star, monkeypatch):
 @pytest.mark.parametrize("star", [False, True])
 def test_wn_builds_no_member_objects(star, monkeypatch, capsys):
     built = []
-    check = WnElement.__post_init__
-    monkeypatch.setattr(
-        WnElement, "__post_init__", lambda self: (built.append(self), check(self))
-    )
+    init = WnElement.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(WnElement, "__init__", counting_init)
     assert cli.main(["wn", "--n", "10", *(["--star"] if star else [])]) == 0
     assert capsys.readouterr().out.count("\n") == (990 if star else 1023)
     assert built == []

@@ -168,6 +168,10 @@ def test_bit_actions_are_involutions():
             assert p2_bits(p2_bits(c)) == c
 
 
+def test_reversal_table_matches_string_reversal():
+    assert degree2._REV == tuple(int(f"{b:010b}"[::-1], 2) for b in range(1024))
+
+
 def test_bit_moves_match_extension_oracle():
     # The code moves against the entry walk over the weak extension, on every
     # n-bit tuple (the zero tuple too), converted to codes and back.

@@ -17,7 +17,7 @@ from chamcovers import (
     span,
 )
 from chamcovers.groups import MAX_AUT_GROUP_ORDER, element_index, negation
-from conftest import oracle_span_order
+from conftest import oracle_automorphisms, oracle_span_order
 
 Z2 = parse_group("Z2")
 Z3 = parse_group("Z3")
@@ -181,6 +181,16 @@ def test_automorphisms_are_bijective_homomorphisms():
             for a in g.elements():
                 for b in g.elements():
                     assert phi(a + b) == phi(a) + phi(b)
+
+
+def test_automorphism_tables_match_residue_oracle_in_order():
+    # The search on codes gives the residue-tuple search's tables, in its order.
+    for spec in (
+        "Z2", "Z3", "Z4", "Z5", "Z6", "Z7", "Z8", "Z2xZ2", "Z2xZ4", "Z3xZ3",
+        "Z4xZ4", "Z2xZ2xZ2", "Z2xZ2xZ4", "Z2xZ32", "Z2xZ2xZ2xZ2",
+    ):
+        g = parse_group(spec)
+        assert [phi.codes for phi in automorphisms(g)] == oracle_automorphisms(g), spec
 
 
 def test_automorphisms_cached_and_bounded():
